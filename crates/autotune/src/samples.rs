@@ -212,21 +212,6 @@ pub fn thresholds_for_signature(sig: &Signature) -> flat_ir::interp::Thresholds 
     t
 }
 
-/// Tree-consistency of a signature: the same reachability rule as
-/// `flat_exec::path_in_tree`, restated here so the tuner side can check
-/// logs without depending on the executor crate.
-pub fn signature_in_tree(reg: &ThresholdRegistry, sig: &Signature) -> bool {
-    sig.iter().all(|&(id, _)| {
-        match reg.iter().find(|i| i.id.0 == id) {
-            None => false,
-            Some(info) => info
-                .path
-                .iter()
-                .all(|&(pid, pt)| sig.iter().any(|&(sid, st)| sid == pid.0 && st == pt)),
-        }
-    })
-}
-
 /// Group `samples` by path signature and join each group against the
 /// registry's branching tree.
 pub fn join_samples(reg: &ThresholdRegistry, samples: &[ExecSample]) -> SampleJoin {
@@ -254,7 +239,7 @@ pub fn join_samples(reg: &ThresholdRegistry, samples: &[ExecSample]) -> SampleJo
                 *shape_classes.entry(s.shape_class.clone()).or_default() += 1;
             }
             SignatureStats {
-                in_tree: signature_in_tree(reg, &sig),
+                in_tree: reg.path_in_tree(&sig),
                 count: group.len(),
                 median_wall_ns,
                 total_wall_ns: group.iter().map(|s| s.wall_ns).sum(),

@@ -21,7 +21,7 @@ use std::io;
 use std::path::Path;
 
 /// Per-repetition spread of a wall-clock measurement. Simulated entries
-/// have none (the simulator is exact); exec entries record how noisy
+/// have none (the simulator is exact); vm entries record how noisy
 /// the median headline number was, so a regression report can be read
 /// against the measurement's own variance.
 #[derive(Clone, Debug, PartialEq)]
@@ -66,7 +66,8 @@ pub struct BaselineEntry {
     pub microseconds: f64,
     pub kernels: u64,
     /// Which backend produced the numbers: `"sim"` (simulated cycles)
-    /// or `"exec"` (measured wall-clock nanoseconds as "cycles").
+    /// or `"vm"` (measured wall-clock nanoseconds as "cycles"; older
+    /// baselines may also say `"exec"`, a retired backend).
     /// Comparing across backends is meaningless, so `--check` refuses.
     pub backend: String,
     /// Per-rep spread, recorded by wall-clock backends; `None` for
@@ -175,7 +176,7 @@ impl Baseline {
                 cycles: field("cycles")?,
                 microseconds: field("microseconds")?,
                 kernels: field("kernels")? as u64,
-                // Baselines written before the exec backend existed
+                // Baselines written before wall-clock backends existed
                 // carry no backend field; they were all simulated.
                 backend: e
                     .get("backend")
@@ -251,44 +252,13 @@ pub fn measure_suite(dev: &gpu_sim::DeviceSpec) -> Baseline {
     Baseline { entries, ..Baseline::default() }.stamped()
 }
 
-/// Measure the whole suite by *real execution* on host threads, timing
-/// each benchmark's small semantics-testing arguments (the Table 1
-/// datasets are sized for simulated GPUs, not a tree-walking CPU
-/// executor). Keys use the `"{bench}/test/host"` form and entries carry
-/// backend `"exec"`, so `compare` can refuse to diff them against
+/// Measure the whole suite by *real execution* on host threads with the
+/// bytecode VM (`flat_vm::measure`, which compiles each program once
+/// outside the timed region), timing each benchmark's small
+/// semantics-testing arguments (the Table 1 datasets are sized for
+/// simulated GPUs). Keys use the `"{bench}/test/host"` form and entries
+/// carry backend `"vm"`, so `compare` refuses to diff them against
 /// simulated baselines.
-pub fn measure_suite_exec(threads: Option<usize>, reps: usize, warmup: usize) -> Baseline {
-    use rand::SeedableRng as _;
-    let t = flat_ir::interp::Thresholds::new();
-    let cfg = incflat::FlattenConfig::incremental();
-    let mut entries = Vec::new();
-    for b in benchmarks::all_benchmarks() {
-        let fl = b.flatten(&cfg);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0xF1A7);
-        let args = (b.test_args)(&mut rng);
-        let exec_cfg = flat_exec::ExecConfig {
-            thresholds: t.clone(),
-            threads,
-            ..flat_exec::ExecConfig::default()
-        };
-        let (rep, m) = flat_exec::measure(&fl.prog, &args, &exec_cfg, reps, warmup)
-            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
-        entries.push(BaselineEntry {
-            key: format!("{}/test/host", b.name),
-            cycles: m.median_nanos,
-            microseconds: m.median_nanos / 1_000.0,
-            kernels: rep.launches.len() as u64,
-            backend: "exec".to_string(),
-            stats: Some(RunStats::of_measurement(&m)),
-        });
-    }
-    Baseline { entries, ..Baseline::default() }.stamped()
-}
-
-/// As [`measure_suite_exec`], but timing the bytecode VM
-/// (`flat_vm::measure`, which compiles each program once outside the
-/// timed region). Entries carry backend `"vm"` so `compare` refuses to
-/// diff them against `exec` or `sim` baselines.
 pub fn measure_suite_vm(threads: Option<usize>, reps: usize, warmup: usize) -> Baseline {
     use rand::SeedableRng as _;
     let t = flat_ir::interp::Thresholds::new();
@@ -472,7 +442,7 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let mut with_stats = entry("m/d1/K40", 9.0);
-        with_stats.backend = "exec".to_string();
+        with_stats.backend = "vm".to_string();
         with_stats.stats = Some(RunStats {
             runs: 5,
             min: 8.0,
@@ -550,19 +520,19 @@ mod tests {
     #[test]
     fn cross_backend_comparison_is_refused() {
         let sim = Baseline { entries: vec![entry("a", 100.0)], ..Baseline::default() };
-        let mut ex = entry("a", 5_000.0);
-        ex.backend = "exec".to_string();
-        let exec = Baseline { entries: vec![ex], ..Baseline::default() };
+        let mut wall = entry("a", 5_000.0);
+        wall.backend = "vm".to_string();
+        let vm = Baseline { entries: vec![wall], ..Baseline::default() };
         assert!(check_same_backend(&sim, &sim).is_ok());
-        assert!(check_same_backend(&exec, &exec).is_ok());
-        let err = check_same_backend(&sim, &exec).unwrap_err();
+        assert!(check_same_backend(&vm, &vm).is_ok());
+        let err = check_same_backend(&sim, &vm).unwrap_err();
         assert!(err.contains("cannot compare across backends"), "{err}");
-        assert!(err.contains("`sim`") && err.contains("`exec`"), "{err}");
+        assert!(err.contains("`sim`") && err.contains("`vm`"), "{err}");
         // A baseline that internally mixes backends is also rejected.
         let mixed = Baseline {
             entries: vec![entry("a", 1.0), {
                 let mut e = entry("b", 2.0);
-                e.backend = "exec".into();
+                e.backend = "vm".into();
                 e
             }],
             ..Baseline::default()
@@ -571,15 +541,15 @@ mod tests {
     }
 
     #[test]
-    fn exec_suite_measurement_has_exec_backend() {
-        let b = measure_suite_exec(Some(2), 2, 0);
+    fn vm_suite_measurement_has_vm_backend() {
+        let b = measure_suite_vm(Some(2), 2, 0);
         assert!(!b.entries.is_empty());
-        assert!(b.entries.iter().all(|e| e.backend == "exec"));
+        assert!(b.entries.iter().all(|e| e.backend == "vm"));
         assert!(b.entries.iter().all(|e| e.cycles > 0.0));
-        assert_eq!(backend_of(&b).unwrap(), "exec");
+        assert_eq!(backend_of(&b).unwrap(), "vm");
         // Wall-clock entries carry their per-rep spread.
         for e in &b.entries {
-            let s = e.stats.as_ref().expect("exec entry records run stats");
+            let s = e.stats.as_ref().expect("vm entry records run stats");
             assert_eq!(s.runs, 2);
             assert!(s.min <= e.cycles && e.cycles <= s.max, "{}", e.key);
             assert!(s.stddev >= 0.0);

@@ -14,7 +14,7 @@ pub mod baseline;
 pub mod report;
 
 pub use baseline::{
-    backend_of, check_same_backend, compare, measure_suite, measure_suite_exec,
-    measure_suite_vm, render_comparison, Baseline, BaselineEntry, Comparison, RunStats,
+    backend_of, check_same_backend, compare, measure_suite, measure_suite_vm,
+    render_comparison, Baseline, BaselineEntry, Comparison, RunStats,
 };
 pub use report::{ascii_bar, write_json, Row};

@@ -173,6 +173,75 @@ impl ThresholdRegistry {
         }
     }
 
+    /// Walk the branching tree and produce, for every distinct version
+    /// path, the set of threshold decisions that forces it (forcing a
+    /// comparison `true` with threshold `0`, `false` with `i64::MAX`).
+    /// Independent siblings at the same tree node multiply (cartesian
+    /// product), so the result is capped at `cap` assignments.
+    pub fn enumerate_assignments(&self, cap: usize) -> Vec<Vec<(ThresholdId, bool)>> {
+        fn walk(
+            reg: &ThresholdRegistry,
+            prefix: &[(ThresholdId, bool)],
+            cap: usize,
+        ) -> Vec<Vec<(ThresholdId, bool)>> {
+            let kids = reg.children_of(prefix);
+            if kids.is_empty() {
+                return vec![Vec::new()];
+            }
+            let mut product: Vec<Vec<(ThresholdId, bool)>> = vec![Vec::new()];
+            for kid in kids {
+                let mut options: Vec<Vec<(ThresholdId, bool)>> = Vec::new();
+                for taken in [true, false] {
+                    let mut below = prefix.to_vec();
+                    below.push((kid.id, taken));
+                    for sub in walk(reg, &below, cap) {
+                        let mut opt = vec![(kid.id, taken)];
+                        opt.extend(sub);
+                        options.push(opt);
+                    }
+                }
+                let mut next = Vec::new();
+                'outer: for base in &product {
+                    for opt in &options {
+                        let mut v = base.clone();
+                        v.extend(opt.iter().copied());
+                        next.push(v);
+                        if next.len() >= cap {
+                            break 'outer;
+                        }
+                    }
+                }
+                product = next;
+            }
+            product
+        }
+        let mut out = walk(self, &[], cap);
+        out.truncate(cap);
+        // Deduplicate defensively (sibling products can repeat when capped).
+        let mut seen = std::collections::BTreeSet::new();
+        out.retain(|a| {
+            let key: Vec<(u32, bool)> = a.iter().map(|(id, t)| (id.0, *t)).collect();
+            seen.insert(key)
+        });
+        out
+    }
+
+    /// Whether a path signature is consistent with the branching tree:
+    /// every compared threshold is minted here, and the ancestor
+    /// comparisons its guard needs were observed with the required
+    /// outcomes. Every path [`Self::enumerate_assignments`] forces, and
+    /// every path a live run dispatches, passes.
+    pub fn path_in_tree(&self, sig: &[(u32, bool)]) -> bool {
+        sig.iter()
+            .all(|&(id, _)| match self.infos.get(id as usize) {
+                None => false,
+                Some(info) => info
+                    .path
+                    .iter()
+                    .all(|&(pid, pt)| sig.iter().any(|&(sid, st)| sid == pid.0 && st == pt)),
+            })
+    }
+
     /// Canonicalize a recorded execution path (sequence of comparisons
     /// with outcomes) into a signature usable as a memoization key.
     pub fn path_signature(path: &[(ThresholdId, bool)]) -> Vec<(u32, bool)> {
@@ -223,6 +292,48 @@ mod tests {
         assert_eq!(reg.num_versions(), 2);
         let _ = reg.fresh(ThresholdKind::SuffIntra, &[(a, false)]);
         assert_eq!(reg.num_versions(), 3);
+    }
+
+    #[test]
+    fn enumerates_the_paper_tree_shape() {
+        // t0 at the root; t1 under t0=false — Fig. 5's two-level shape.
+        let mut reg = ThresholdRegistry::new();
+        let a = reg.fresh(ThresholdKind::SuffOuter, &[]);
+        let _b = reg.fresh(ThresholdKind::SuffIntra, &[(a, false)]);
+        let asgs = reg.enumerate_assignments(32);
+        // Three versions: t0 taken; t0 not taken then t1 taken; neither.
+        assert_eq!(asgs.len(), 3);
+        assert!(asgs.iter().any(|a| a.len() == 1 && a[0].1));
+        assert!(asgs.iter().any(|a| a.len() == 2));
+        for asg in &asgs {
+            let sig: Vec<(u32, bool)> = asg.iter().map(|(id, t)| (id.0, *t)).collect();
+            assert!(reg.path_in_tree(&sig), "{sig:?}");
+        }
+    }
+
+    #[test]
+    fn enumeration_respects_the_cap() {
+        let mut reg = ThresholdRegistry::new();
+        for _ in 0..8 {
+            reg.fresh(ThresholdKind::SuffOuter, &[]);
+        }
+        // 2^8 = 256 full combinations, capped.
+        assert!(reg.enumerate_assignments(16).len() <= 16);
+    }
+
+    #[test]
+    fn path_in_tree_requires_minted_ids_and_ancestors() {
+        let mut reg = ThresholdRegistry::new();
+        let a = reg.fresh(ThresholdKind::SuffOuter, &[]);
+        let b = reg.fresh(ThresholdKind::SuffIntra, &[(a, false)]);
+        assert!(reg.path_in_tree(&[]));
+        assert!(reg.path_in_tree(&[(a.0, true)]));
+        assert!(reg.path_in_tree(&[(a.0, false), (b.0, true)]));
+        // t1 is only reachable under t0=false.
+        assert!(!reg.path_in_tree(&[(a.0, true), (b.0, true)]));
+        assert!(!reg.path_in_tree(&[(b.0, false)]));
+        // Unknown threshold.
+        assert!(!reg.path_in_tree(&[(7, true)]));
     }
 
     #[test]

@@ -1,48 +1,42 @@
 //! # flat-exec
 //!
-//! A real multithreaded CPU executor for flattened *target-language*
-//! programs: where the reference interpreter defines the semantics and
-//! the simulator estimates cycles, this crate actually runs the code on
-//! host threads and measures wall-clock time.
+//! The runtime types shared by every CPU execution of a flattened
+//! *target-language* program. The executor itself is `flat-vm`, which
+//! lowers the program to register bytecode and runs its kernels on the
+//! vendored work-stealing pool (`workpool`); the reference interpreter
+//! ([`flat_ir::interp`]) defines the semantics both are checked against.
 //!
-//! * Host code (loops, ifs, replicates, rearranges, sequential SOACs)
-//!   evaluates exactly as in [`flat_ir::interp`], over the same
-//!   [`flat_ir::value::Value`] representation.
-//! * `segmap`/`segred`/`segscan` execute as data-parallel kernels on a
-//!   vendored work-stealing pool (`workpool`): grain-size chunking for
-//!   `segmap`, per-block partial accumulators combined left-to-right for
-//!   `segred`, and a two-pass (block-scan + propagate) `segscan`. The
-//!   decomposition depends only on the grain size — never on the thread
-//!   count — so results are bit-identical under `FLAT_EXEC_THREADS=1`,
-//!   `4`, or `8`.
-//! * Threshold guards (`Par(...) >= t_i`) are evaluated *live* against
-//!   the actual degree of parallelism, using a [`Thresholds`] assignment
-//!   (e.g. loaded from a `.tuning` file); the taken path is recorded
-//!   with the same [`gpu_sim::path_signature`] the simulator emits.
-//! * [`measure`] provides median-of-k wall-clock timing, which
+//! * [`ExecConfig`] (live thresholds, thread count, grain, telemetry
+//!   switches) goes in; [`ExecReport`] (values, the live-dispatched
+//!   threshold path, one [`ExecLaunch`] per kernel, pool telemetry)
+//!   comes out; failures are [`ExecError`]s.
+//! * [`Measurement`] summarizes median-of-k wall-clock timings, which
 //!   `autotune` uses as a measured cost function (`flatc tune --backend
-//!   exec`).
+//!   vm`) through [`sim_report_of`].
+//! * [`materialize`] fills abstract dataset descriptions with seeded
+//!   data; [`obs`] renders telemetry (worker traces, utilization
+//!   reports, the live sample log).
+//! * [`host_device`] and [`kernel_launches`] let the simulator's
+//!   profile, attribution, and trace renderers display measured runs.
 //!
 //! See `docs/EXECUTION.md` for the architecture and the determinism
 //! guarantees.
 
 mod data;
-mod exec;
 mod measure;
 pub mod obs;
+mod report;
 
 pub use data::materialize;
-pub use exec::{run_program, ExecConfig, ExecError, ExecLaunch, ExecReport, DEFAULT_GRAIN};
-pub use measure::{measure, Measurement};
+pub use measure::Measurement;
 pub use obs::{
     append_sample_log, render_exec_report, sample_log_lines, shape_class, task_size_histogram,
     telemetry_requested_by_env, worker_trace_events, KernelTelem,
 };
+pub use report::{ExecConfig, ExecError, ExecLaunch, ExecReport, DEFAULT_GRAIN};
 pub use workpool::default_threads;
 
-use flat_ir::interp::Thresholds;
 use gpu_sim::{CostReport, DeviceSpec, KernelCost, KernelLaunch, SimReport};
-use incflat::ThresholdRegistry;
 
 /// A synthetic [`DeviceSpec`] for rendering executor measurements with
 /// the simulator's attribution and profile machinery. Its clock is
@@ -116,37 +110,4 @@ pub fn sim_report_of(rep: &ExecReport, cost_nanos: f64) -> SimReport {
         microseconds: cost_nanos / 1_000.0,
         kernels: kernel_launches(rep),
     }
-}
-
-/// Check that a live-dispatched path signature is consistent with the
-/// registry's branching tree: every compared threshold is minted, and
-/// the guards `children_of` says must hold before it is reachable were
-/// observed with the required outcomes. These are exactly the paths the
-/// fuzz oracle's assignment enumeration visits.
-pub fn path_in_tree(reg: &ThresholdRegistry, sig: &[(u32, bool)]) -> bool {
-    sig.iter().all(|&(id, _)| {
-        match reg.iter().find(|i| i.id.0 == id) {
-            None => false,
-            Some(info) => info
-                .path
-                .iter()
-                .all(|&(pid, pt)| sig.iter().any(|&(sid, st)| sid == pid.0 && st == pt)),
-        }
-    })
-}
-
-/// Run a program under live dispatch and also under every forced path,
-/// used by tests. Returns the live report.
-pub fn run_live(
-    prog: &flat_ir::Program,
-    args: &[flat_ir::value::Value],
-    thresholds: &Thresholds,
-    threads: Option<usize>,
-) -> Result<ExecReport, ExecError> {
-    let cfg = ExecConfig {
-        thresholds: thresholds.clone(),
-        threads,
-        ..ExecConfig::default()
-    };
-    run_program(prog, args, &cfg)
 }

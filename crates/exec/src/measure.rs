@@ -1,12 +1,9 @@
-//! Wall-clock measurement: median of k timed repetitions after warmup.
+//! Wall-clock measurement summaries: median of k timed repetitions.
 //!
-//! Medians resist scheduler noise far better than means, and the warmup
-//! runs absorb one-time costs (page faults, allocator growth) so the
-//! autotuner compares steady-state times.
-
-use crate::exec::{run_program, ExecConfig, ExecError, ExecReport};
-use flat_ir::ast::Program;
-use flat_ir::value::Value;
+//! Medians resist scheduler noise far better than means. `flat_vm`'s
+//! `measure` produces these after untimed warmup runs, which absorb
+//! one-time costs (page faults, allocator growth) so the autotuner
+//! compares steady-state times.
 
 /// Timing summary of repeated runs. The median is the headline number;
 /// the spread statistics (and the raw runs) capture variance so results
@@ -54,62 +51,9 @@ impl Measurement {
     }
 }
 
-/// Run `prog` `warmup` untimed times, then `reps` timed times (at least
-/// one), returning the last run's report and the timing summary.
-/// Results are deterministic, so repetitions differ only in timing.
-pub fn measure(
-    prog: &Program,
-    args: &[Value],
-    cfg: &ExecConfig,
-    reps: usize,
-    warmup: usize,
-) -> Result<(ExecReport, Measurement), ExecError> {
-    let _span = flat_obs::span("exec", "exec.measure");
-    for _ in 0..warmup {
-        run_program(prog, args, cfg)?;
-    }
-    let reps = reps.max(1);
-    let mut runs = Vec::with_capacity(reps);
-    let mut last = None;
-    for _ in 0..reps {
-        let rep = run_program(prog, args, cfg)?;
-        runs.push(rep.wall_nanos);
-        last = Some(rep);
-    }
-    Ok((last.expect("reps >= 1"), Measurement::from_runs(runs)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flat_ir::ast::{Exp, SubExp};
-    use flat_ir::builder::ProgramBuilder;
-    use flat_ir::types::Type;
-
-    #[test]
-    fn measures_and_returns_last_report() {
-        let mut pb = ProgramBuilder::new("id");
-        let n = pb.size_param("n");
-        let xs = pb.body.bind("xs", Type::i64().array_of(SubExp::Var(n)), Exp::Iota {
-            n: SubExp::Var(n),
-        });
-        let out_t = Type::i64().array_of(SubExp::Var(n));
-        let prog = pb.finish(vec![SubExp::Var(xs)], vec![out_t]);
-
-        let (rep, m) = measure(
-            &prog,
-            &[Value::i64_(100)],
-            &ExecConfig::default(),
-            3,
-            1,
-        )
-        .unwrap();
-        assert_eq!(m.runs.len(), 3);
-        assert!(m.median_nanos > 0.0);
-        assert!(m.min_nanos <= m.median_nanos && m.median_nanos <= m.max_nanos);
-        assert!(m.mean_nanos > 0.0 && m.stddev_nanos >= 0.0);
-        assert_eq!(rep.values[0].shape(), vec![100]);
-    }
 
     #[test]
     fn from_runs_computes_the_spread() {

@@ -18,7 +18,7 @@
 //!   `(shape class, path signature, threads, grain, wall_ns)`, the live
 //!   observations `autotune::samples` joins against the branching tree.
 
-use crate::exec::{ExecLaunch, ExecReport};
+use crate::report::{ExecLaunch, ExecReport};
 use flat_obs::json::Value;
 use flat_obs::metrics::{Histogram, HistogramSnapshot};
 use flat_obs::TraceEvent;
@@ -382,7 +382,7 @@ mod tests {
     /// `flatc exec --exec-report` users (and the docs) depend on.
     #[test]
     fn exec_report_rendering_is_stable() {
-        use crate::exec::{ExecLaunch, ExecReport};
+        use crate::report::{ExecLaunch, ExecReport};
         use flat_ir::ast::LVL_GRID;
         use flat_ir::prov::Prov;
         use workpool::{PoolTelemetry, WorkerTelemetry};

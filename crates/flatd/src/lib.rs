@@ -14,7 +14,7 @@
 //!
 //! The wire protocol ([`proto`]) is length-prefixed JSON with results
 //! streamed as chunked little-endian bit patterns, so remote results
-//! are **bitwise identical** to a local `flatc exec --backend vm` run —
+//! are **bitwise identical** to a local `flatc exec` run —
 //! floats included. [`client`] is the synchronous client behind
 //! `flatc remote exec`, and [`bench`] is the closed-/open-loop load
 //! generator behind `flatc serve-bench`.

@@ -14,7 +14,7 @@
 //! ## Value encoding
 //!
 //! Results must round-trip **bitwise** — the acceptance bar is equality
-//! with a local `flatc exec --backend vm` run down to the float bit
+//! with a local `flatc exec` run down to the float bit
 //! patterns, which decimal JSON cannot guarantee. Scalars and array
 //! buffers therefore travel as hex-encoded little-endian bit patterns
 //! (`f32` via `to_bits`, one byte per `bool`), the same convention the
@@ -338,6 +338,13 @@ pub fn buffer_of_bits(elem: ScalarType, bits: &str) -> Result<Buffer, String> {
     })
 }
 
+/// How many `result-chunk` frames carry `bits`: none for an empty
+/// payload (scalars, zero-element arrays). The header advertises this
+/// count and [`result_frames`] sends exactly this many frames.
+fn chunk_count(bits: &str) -> usize {
+    bits.len().div_ceil(CHUNK_HEX)
+}
+
 /// The header frame for result `index`, plus the hex payload to stream
 /// after it (empty for scalars, whose bits ride in the header).
 pub fn result_header(index: usize, v: &IrValue) -> (Value, String) {
@@ -351,14 +358,13 @@ pub fn result_header(index: usize, v: &IrValue) -> (Value, String) {
                     ("k", Value::from("scalar")),
                     ("t", Value::from(t)),
                     ("bits", Value::from(bits)),
-                    ("chunks", Value::from(0u64)),
+                    ("chunks", Value::from(chunk_count("") as u64)),
                 ]),
                 String::new(),
             )
         }
         IrValue::Array(av) => {
             let (elem, bits) = buffer_bits(&av.data);
-            let chunks = bits.len().div_ceil(CHUNK_HEX).max(1);
             (
                 Value::object(vec![
                     ("type", Value::from("result")),
@@ -369,7 +375,7 @@ pub fn result_header(index: usize, v: &IrValue) -> (Value, String) {
                         "shape",
                         Value::Array(av.shape.iter().map(|&d| Value::from(d)).collect()),
                     ),
-                    ("chunks", Value::from(chunks as u64)),
+                    ("chunks", Value::from(chunk_count(&bits) as u64)),
                 ]),
                 bits,
             )
@@ -383,11 +389,7 @@ pub fn result_header(index: usize, v: &IrValue) -> (Value, String) {
 pub fn result_frames(index: usize, v: &IrValue) -> Vec<Value> {
     let (header, bits) = result_header(index, v);
     let mut frames = vec![header];
-    if bits.is_empty() {
-        return frames;
-    }
-    let chunks = bits.len().div_ceil(CHUNK_HEX).max(1);
-    for seq in 0..chunks {
+    for seq in 0..chunk_count(&bits) {
         let lo = seq * CHUNK_HEX;
         let hi = ((seq + 1) * CHUNK_HEX).min(bits.len());
         frames.push(Value::object(vec![

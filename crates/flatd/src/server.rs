@@ -580,17 +580,9 @@ impl Daemon {
                     threads: Some(threads),
                     ..flat_exec::ExecConfig::default()
                 };
-                let mut walls = Vec::with_capacity(reps.max(1));
-                let mut last = None;
-                for _ in 0..reps.max(1) {
-                    let rep = flat_vm::run_compiled(compiled, &vals, &cfg)
-                        .map_err(|e| gpu_sim::SimError(e.0))?;
-                    walls.push(rep.wall_nanos);
-                    last = Some(rep);
-                }
-                walls.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                let median = walls[walls.len() / 2];
-                Ok(flat_exec::sim_report_of(&last.expect("reps >= 1"), median))
+                let (rep, m) = flat_vm::measure_compiled(compiled, &vals, &cfg, reps, 0)
+                    .map_err(|e| gpu_sim::SimError(e.0))?;
+                Ok(flat_exec::sim_report_of(&rep, m.median_nanos))
             },
         );
         let warm_start = self.samples.warm_start(&prog.hash, &fl.thresholds);

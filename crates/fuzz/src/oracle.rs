@@ -19,17 +19,14 @@
 //!    simulator runs alongside each version and its recorded path must
 //!    match the interpreter's ([`gpu_sim::sim::path_signature`]).
 //!
-//! Three further legs ride along: a static **verifier** pass after
-//! every transformation (`verify: bool`), **real execution**
-//! (`exec: bool`) — the `flat-exec` multithreaded runtime runs every
-//! forced path *and* the live-dispatched path on 2 threads with a tiny
-//! grain size (so even the fuzzer's small inputs split into several
-//! parallel tasks), and must reproduce the reference bitwise with a
-//! path signature the interpreter (forced) or the threshold branching
-//! tree (live) agrees with — and the **bytecode VM** (`vm: bool`),
-//! which compiles each flattened version to `flat-vm`'s register
-//! bytecode and holds it to exactly the same bar under the same
-//! configuration.
+//! Two further legs ride along: a static **verifier** pass after every
+//! transformation (`verify: bool`), and **real execution** on the
+//! bytecode VM (`vm: bool`) — `flat-vm` compiles each flattened version
+//! and runs every forced path *and* the live-dispatched path on 2
+//! threads with a tiny grain size (so even the fuzzer's small inputs
+//! split into several parallel tasks); it must reproduce the reference
+//! bitwise with a path signature the interpreter (forced) or the
+//! threshold branching tree (live) agrees with.
 
 use crate::eval::{self, V};
 use flat_ir::interp::{Interp, Thresholds};
@@ -39,7 +36,6 @@ use flat_lang::syntax::{SDef, SProgram};
 use gpu_sim::DeviceSpec;
 use incflat::{FlattenConfig, ThresholdRegistry};
 use rand::prelude::*;
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Concrete inputs for the fixed fuzz signature
@@ -147,14 +143,10 @@ pub struct Oracle {
     /// default — interpretation checks *values*, this checks the IR
     /// invariants a lucky input might never exercise.
     pub verify: bool,
-    /// Sixth leg: run every forced path and the live-dispatched path on
-    /// the real multithreaded executor (`flat-exec`) and require
-    /// bitwise agreement with the reference plus a consistent path
-    /// signature. On by default.
-    pub exec: bool,
-    /// Seventh leg: compile every flattened version to the `flat-vm`
-    /// register bytecode and run the same forced-path and live-dispatch
-    /// checks through the compiled tier. On by default.
+    /// Sixth leg: compile every flattened version to the `flat-vm`
+    /// register bytecode, run every forced path and the live-dispatched
+    /// path on real threads, and require bitwise agreement with the
+    /// reference plus a consistent path signature. On by default.
     pub vm: bool,
 }
 
@@ -170,7 +162,6 @@ impl Oracle {
             mutate_post_elab: None,
             max_assignments: 32,
             verify: true,
-            exec: true,
             vm: true,
         }
     }
@@ -259,7 +250,7 @@ impl Oracle {
                     verify_clean("verify-flatten", mode, flat_verify::verify_flattened(fl))
                 })?;
             }
-            let assignments = enumerate_assignments(&fl.thresholds, self.max_assignments);
+            let assignments = fl.thresholds.enumerate_assignments(self.max_assignments);
             for asg in &assignments {
                 let mut t = Thresholds::new();
                 for (id, taken) in asg {
@@ -312,32 +303,9 @@ impl Oracle {
                     ));
                 }
 
-                // Leg 6a: the real executor under the same forcing, on 2
+                // Leg 6a: the bytecode VM under the same forcing, on 2
                 // threads with a tiny grain so even small inputs split
                 // into several parallel tasks.
-                if self.exec {
-                    let erep = guard("exec-run", || {
-                        flat_exec::run_program(&fl.prog, &args, &exec_config(&t))
-                            .map_err(|e| fail("exec-run", format!("{}: {}", ctx(), e.0)))
-                    })?;
-                    if erep.values != reference {
-                        return Err(mismatch("exec-mismatch", &reference, &erep.values, &ctx()));
-                    }
-                    let esig = erep.signature();
-                    if esig != isig {
-                        return Err(fail(
-                            "exec-path",
-                            format!(
-                                "{}: executor path {esig:?} != interpreter path {isig:?}",
-                                ctx()
-                            ),
-                        ));
-                    }
-                }
-
-                // Leg 7a: the bytecode VM under the same forcing —
-                // compiled-tier results and paths must match the
-                // reference exactly, like the tree-walking executor's.
                 if self.vm {
                     let vrep = guard("vm-run", || {
                         flat_vm::run_program(&fl.prog, &args, &exec_config(&t))
@@ -366,24 +334,6 @@ impl Oracle {
             // Leg 6b: live dispatch — no forcing, the default threshold
             // assignment decides against the actual `Par(...)` degrees.
             // The taken path must be one the branching tree admits.
-            if self.exec {
-                let live = guard("exec-live", || {
-                    flat_exec::run_program(&fl.prog, &args, &exec_config(&Thresholds::new()))
-                        .map_err(|e| fail("exec-live", format!("{mode}: {}", e.0)))
-                })?;
-                if live.values != reference {
-                    return Err(mismatch("exec-live-mismatch", &reference, &live.values, mode));
-                }
-                let lsig = live.signature();
-                if !flat_exec::path_in_tree(&fl.thresholds, &lsig) {
-                    return Err(fail(
-                        "exec-live-path",
-                        format!("{mode}: live-dispatched path {lsig:?} is not in the threshold tree"),
-                    ));
-                }
-            }
-
-            // Leg 7b: live dispatch through the bytecode VM.
             if self.vm {
                 let live = guard("vm-live", || {
                     flat_vm::run_program(&fl.prog, &args, &exec_config(&Thresholds::new()))
@@ -393,7 +343,7 @@ impl Oracle {
                     return Err(mismatch("vm-live-mismatch", &reference, &live.values, mode));
                 }
                 let lsig = live.signature();
-                if !flat_exec::path_in_tree(&fl.thresholds, &lsig) {
+                if !fl.thresholds.path_in_tree(&lsig) {
                     return Err(fail(
                         "vm-live-path",
                         format!("{mode}: vm live-dispatched path {lsig:?} is not in the threshold tree"),
@@ -405,9 +355,9 @@ impl Oracle {
     }
 }
 
-/// Executor configuration for oracle legs: 2 threads exercises real
-/// cross-thread scheduling, grain 4 forces multi-task decomposition
-/// even on the fuzzer's small inputs.
+/// VM configuration for the oracle's execution leg: 2 threads
+/// exercises real cross-thread scheduling, grain 4 forces multi-task
+/// decomposition even on the fuzzer's small inputs.
 fn exec_config(t: &Thresholds) -> flat_exec::ExecConfig {
     flat_exec::ExecConfig {
         thresholds: t.clone(),
@@ -498,61 +448,6 @@ fn render_assignment(asg: &[(ThresholdId, bool)]) -> String {
         .join(",")
 }
 
-/// Walk the branching tree and produce, for every distinct version
-/// path, the set of threshold decisions that forces it. Independent
-/// siblings at the same tree node multiply (cartesian product), so the
-/// result is capped at `cap` assignments.
-pub fn enumerate_assignments(
-    reg: &ThresholdRegistry,
-    cap: usize,
-) -> Vec<Vec<(ThresholdId, bool)>> {
-    fn walk(
-        reg: &ThresholdRegistry,
-        prefix: &[(ThresholdId, bool)],
-        cap: usize,
-    ) -> Vec<Vec<(ThresholdId, bool)>> {
-        let kids = reg.children_of(prefix);
-        if kids.is_empty() {
-            return vec![Vec::new()];
-        }
-        let mut product: Vec<Vec<(ThresholdId, bool)>> = vec![Vec::new()];
-        for kid in kids {
-            let mut options: Vec<Vec<(ThresholdId, bool)>> = Vec::new();
-            for taken in [true, false] {
-                let mut below = prefix.to_vec();
-                below.push((kid.id, taken));
-                for sub in walk(reg, &below, cap) {
-                    let mut opt = vec![(kid.id, taken)];
-                    opt.extend(sub);
-                    options.push(opt);
-                }
-            }
-            let mut next = Vec::new();
-            'outer: for base in &product {
-                for opt in &options {
-                    let mut v = base.clone();
-                    v.extend(opt.iter().copied());
-                    next.push(v);
-                    if next.len() >= cap {
-                        break 'outer;
-                    }
-                }
-            }
-            product = next;
-        }
-        product
-    }
-    let mut out = walk(reg, &[], cap);
-    out.truncate(cap);
-    // Deduplicate defensively (sibling products can repeat when capped).
-    let mut seen = BTreeSet::new();
-    out.retain(|a| {
-        let key: Vec<(u32, bool)> = a.iter().map(|(id, t)| (id.0, *t)).collect();
-        seen.insert(key)
-    });
-    out
-}
-
 /// Deliberately break every `reduce`/`redomap` whose neutral element is
 /// the literal `0`, swapping it for `1`. Used by tests to prove the
 /// oracle detects a genuinely unsound transformation; returns how many
@@ -610,30 +505,6 @@ pub fn parse_main(src: &str) -> Result<(SProgram, SDef), Failure> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incflat::ThresholdKind;
-
-    #[test]
-    fn enumerates_the_paper_tree_shape() {
-        // t0 at the root; t1 under t0=false — Fig. 5's two-level shape.
-        let mut reg = ThresholdRegistry::new();
-        let a = reg.fresh(ThresholdKind::SuffOuter, &[]);
-        let _b = reg.fresh(ThresholdKind::SuffIntra, &[(a, false)]);
-        let asgs = enumerate_assignments(&reg, 32);
-        // Three versions: t0 taken; t0 not taken then t1 taken; neither.
-        assert_eq!(asgs.len(), 3);
-        assert!(asgs.iter().any(|a| a.len() == 1 && a[0].1));
-        assert!(asgs.iter().any(|a| a.len() == 2));
-    }
-
-    #[test]
-    fn enumeration_respects_the_cap() {
-        let mut reg = ThresholdRegistry::new();
-        for _ in 0..8 {
-            reg.fresh(ThresholdKind::SuffOuter, &[]);
-        }
-        // 2^8 = 256 full combinations, capped.
-        assert!(enumerate_assignments(&reg, 16).len() <= 16);
-    }
 
     #[test]
     fn oracle_accepts_a_nested_map_program() {

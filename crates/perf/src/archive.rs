@@ -73,7 +73,7 @@ pub struct ArchivedKernel {
     /// not stable across builds, the `key.stack` is).
     pub prov: u32,
     /// Cost in the run's unit: simulated cycles (sim) or nanoseconds
-    /// (exec, where 1 cycle = 1 ns).
+    /// (wall-clock backends, where 1 cycle = 1 ns).
     pub cycles: f64,
     /// Hardware launches charged to this entry.
     pub launches: u64,
@@ -100,7 +100,8 @@ pub struct RunRecord {
     pub source: Option<String>,
     /// Hex FNV-1a of the source text (empty for suite runs).
     pub source_hash: String,
-    /// `"sim"` or `"exec"`.
+    /// `"sim"`, `"vm"`, or `"flatd"` (`"exec"` in records from before
+    /// the VM became the only CPU executor).
     pub backend: String,
     /// Device name (`k40`, `vega64`, `host`).
     pub device: String,
@@ -463,10 +464,10 @@ pub fn from_sim(
     rec
 }
 
-/// Build a record from an executor run: kernels in launch order at
+/// Build a record from a VM run: kernels in launch order at
 /// 1 cycle = 1 ns, the total being the measurement's median wall time.
 #[allow(clippy::too_many_arguments)]
-pub fn from_exec(
+pub fn from_vm(
     program: &str,
     source: Option<&str>,
     source_text: &str,
@@ -482,7 +483,7 @@ pub fn from_exec(
         program: program.to_string(),
         source: source.map(str::to_string),
         source_hash: content_hash(source_text),
-        backend: "exec".to_string(),
+        backend: "vm".to_string(),
         device: "host".to_string(),
         clock_ghz: 1.0,
         threads: Some(rep.threads),
@@ -496,34 +497,6 @@ pub fn from_exec(
         ..RunRecord::default()
     };
     stamp(&mut rec);
-    rec
-}
-
-/// Build a record from a bytecode-VM run. Identical to [`from_exec`]
-/// except for the backend tag: the VM returns the same report type with
-/// the same launch records, so everything else carries over.
-#[allow(clippy::too_many_arguments)]
-pub fn from_vm(
-    program: &str,
-    source: Option<&str>,
-    source_text: &str,
-    args: &[String],
-    rep: &flat_exec::ExecReport,
-    median_nanos: f64,
-    reps: usize,
-    prov: &flat_ir::prov::ProvTable,
-) -> RunRecord {
-    let mut rec = from_exec(
-        program,
-        source,
-        source_text,
-        args,
-        rep,
-        median_nanos,
-        reps,
-        prov,
-    );
-    rec.backend = "vm".to_string();
     rec
 }
 

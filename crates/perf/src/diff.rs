@@ -430,7 +430,7 @@ mod tests {
     fn cross_backend_diff_is_refused() {
         let a = record(vec![]);
         let mut b = record(vec![]);
-        b.backend = "exec".to_string();
+        b.backend = "vm".to_string();
         let err = diff_records(&a, &b).unwrap_err();
         assert!(err.contains("cannot diff across backends"), "{err}");
     }

@@ -9,27 +9,26 @@
 //! decision the live run took, how much wall-clock time was left on
 //! the table versus the best alternative that flips it?
 //!
-//! The method is counterfactual re-execution. The program first runs
-//! live on the executor backend to observe the chosen path and its
-//! wall time; then every distinct version path of the branching tree
-//! (enumerated by the fuzz oracle's [`enumerate_assignments`], capped)
-//! is *forced* — threshold set to `0` to take a comparison, `i64::MAX`
-//! to refuse it, the same idiom the differential fuzzer uses — and
-//! measured the same way. A decision's regret is the chosen path's
-//! wall time minus the best wall time among alternatives that flip
-//! that decision (ancestors held fixed, descendants free: flipping a
-//! guard necessarily re-decides its subtree). For fairness the
-//! "chosen" time is itself taken from the *forced* re-measurement of
-//! the live path when available, so both sides of every comparison
-//! carry identical forcing overhead.
+//! The method is counterfactual re-execution on the VM. The program
+//! first runs live to observe the chosen path and its wall time; then
+//! every distinct version path of the branching tree (enumerated by
+//! [`ThresholdRegistry::enumerate_assignments`], capped) is *forced* —
+//! threshold set to `0` to take a comparison, `i64::MAX` to refuse it,
+//! the same idiom the differential fuzzer uses — and measured the same
+//! way. A decision's regret is the chosen path's wall time minus the
+//! best wall time among alternatives that flip that decision
+//! (ancestors held fixed, descendants free: flipping a guard
+//! necessarily re-decides its subtree). For fairness the "chosen" time
+//! is itself taken from the *forced* re-measurement of the live path
+//! when available, so both sides of every comparison carry identical
+//! forcing overhead.
 //!
 //! Every forced measurement doubles as an autotuning sample:
 //! [`regret_sample_lines`] renders the whole what-if sweep in the
 //! sample-log schema, so `autotune::samples::warm_start` can seed an
 //! online tuner (ROADMAP item 3) from a single regret run.
 
-use flat_exec::{measure, shape_class, ExecConfig};
-use flat_fuzz::oracle::enumerate_assignments;
+use flat_exec::{shape_class, ExecConfig};
 use flat_ir::ast::Program;
 use flat_ir::interp::Thresholds;
 use flat_ir::value::Value as DataValue;
@@ -160,30 +159,33 @@ pub fn profile_regret(
     args: &[DataValue],
     cfg: &RegretConfig,
 ) -> Result<RegretReport, String> {
-    let exec_cfg = |t: Thresholds| ExecConfig {
-        thresholds: t,
-        threads: cfg.threads,
-        grain: cfg.grain,
-        ..ExecConfig::default()
+    let compiled = flat_vm::compile(prog).map_err(|e| format!("lowering failed: {e}"))?;
+    let measure = |thresholds: Thresholds| {
+        let exec_cfg = ExecConfig {
+            thresholds,
+            threads: cfg.threads,
+            grain: cfg.grain,
+            ..ExecConfig::default()
+        };
+        flat_vm::measure_compiled(&compiled, args, &exec_cfg, cfg.reps, cfg.warmup)
     };
 
     // 1. The live run: what do the current thresholds actually choose?
     let (live_rep, live_m) =
-        measure(prog, args, &exec_cfg(cfg.thresholds.clone()), cfg.reps, cfg.warmup)
-            .map_err(|e| format!("live run failed: {e}"))?;
+        measure(cfg.thresholds.clone()).map_err(|e| format!("live run failed: {e}"))?;
     let live_sig = live_rep.signature();
 
     // 2. Force and measure every enumerated version path.
-    let assignments = enumerate_assignments(reg, cfg.cap.max(1));
+    let assignments = reg.enumerate_assignments(cfg.cap.max(1));
     let truncated = {
         // Re-enumerate with a roomier cap only to detect truncation;
         // the tree is tiny compared to a single measurement.
-        let probe = enumerate_assignments(reg, cfg.cap.saturating_mul(2).max(cfg.cap + 1));
+        let probe = reg.enumerate_assignments(cfg.cap.saturating_mul(2).max(cfg.cap + 1));
         probe.len().saturating_sub(assignments.len())
     };
     let mut alternatives = Vec::with_capacity(assignments.len());
     for asg in &assignments {
-        let (_, m) = measure(prog, args, &exec_cfg(forced(&cfg.thresholds, asg)), cfg.reps, cfg.warmup)
+        let (_, m) = measure(forced(&cfg.thresholds, asg))
             .map_err(|e| format!("forced run {asg:?} failed: {e}"))?;
         let mut sig: Vec<(u32, bool)> = asg.iter().map(|&(id, t)| (id.0, t)).collect();
         sig.sort_unstable();

@@ -8,10 +8,10 @@
 //! carrying their compiled context bindings and operator functions.
 //!
 //! Type errors (non-bool conditions, array/scalar confusion, non-integral
-//! widths) surface at compile time here rather than at evaluation time
-//! as in `flat-exec`; data-dependent errors (division by zero, negative
-//! widths, out-of-bounds indices) remain runtime errors so the VM agrees
-//! with the interpreter on every well-typed program.
+//! widths) surface at compile time here rather than at evaluation time;
+//! data-dependent errors (division by zero, negative widths,
+//! out-of-bounds indices) remain runtime errors so the VM agrees with
+//! the interpreter on every well-typed program.
 
 use crate::bytecode::*;
 use flat_exec::ExecError;

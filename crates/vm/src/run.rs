@@ -1,19 +1,31 @@
-//! The VM executor: runs compiled bytecode with exactly `flat-exec`'s
-//! kernel decomposition, so results, `path_signature`, launch records,
-//! and telemetry are bitwise interchangeable with the tree-walking
-//! executor at every thread count and grain.
+//! The VM executor: runs compiled bytecode as data-parallel kernels on
+//! the work-stealing pool, with live threshold dispatch.
 //!
-//! The determinism argument is `flat-exec`'s, inherited verbatim:
-//! kernels are decomposed by grain only, task results are combined in
-//! task order on the calling thread, and `segred`/`segscan` reassociate
-//! identically for every thread count. See `crates/exec/src/exec.rs`.
+//! ## Determinism
 //!
-//! The differences are all below the decomposition: a kernel task's
-//! "frame" is a clone of three flat register banks instead of a
-//! name→`Arc<Value>` map, the body is a `match` over monomorphic
-//! opcodes instead of an AST walk, and the sequential combine passes of
-//! `segred`/`segscan` run directly on the host frame (safe because
-//! registers are never reused, so everything they clobber is dead).
+//! Every kernel is decomposed into tasks by the configured *grain size*
+//! only — never by the thread count — and task results are combined in
+//! task order on the calling thread. Two runs with different
+//! `FLAT_EXEC_THREADS` therefore produce bit-identical values:
+//!
+//! * `segmap`: the flattened space is cut into grain-sized chunks; each
+//!   chunk writes a private buffer; chunks concatenate in order.
+//! * `segred`: each (segment, block) task folds its block left-to-right
+//!   from the neutral element; block partials combine left-to-right per
+//!   segment. With one block per segment this is exactly the
+//!   interpreter's fold (bitwise, even for floats); with several blocks
+//!   it is the same reassociation for every thread count.
+//! * `segscan`: two passes — parallel per-block local scans, a
+//!   sequential prefix over block totals, then a parallel fixup
+//!   `op(prefix, elem)` for every block after the first (the first
+//!   block's pass-1 values are already final, so a single-block segment
+//!   is again bitwise equal to the interpreter).
+//!
+//! A kernel task's "frame" is a clone of three flat register banks, the
+//! body is a `match` over monomorphic opcodes, and the sequential
+//! combine passes of `segred`/`segscan` run directly on the host frame
+//! (safe because registers are never reused, so everything they clobber
+//! is dead).
 
 use crate::bytecode::*;
 use flat_exec::{ExecConfig, ExecError, ExecLaunch, ExecReport, KernelTelem};
@@ -32,8 +44,7 @@ fn err<T>(msg: impl Into<String>) -> Result<T> {
     Err(ExecError(msg.into()))
 }
 
-/// Compile and execute a program on concrete values. Drop-in for
-/// `flat_exec::run_program`, returning the same report type.
+/// Compile and execute a program on concrete values.
 pub fn run_program(prog: &Program, args: &[Value], cfg: &ExecConfig) -> Result<ExecReport> {
     let compiled = crate::compile::compile(prog)?;
     run_compiled(&compiled, args, cfg)
@@ -59,9 +70,11 @@ pub fn run_compiled(
             args.len()
         ));
     }
-    // As in `flat_exec::run_program`: a reference-counted telemetry
-    // session keeps concurrent runs on the shared pool from clobbering
-    // each other's switches or stealing each other's spans.
+    // Telemetry runs hold a reference-counted session on the shared
+    // (process-cached) pool: counters stay on while any run needs them
+    // and switch off when the last one finishes, and span recording is
+    // owned exclusively for the run, so concurrent runs neither clobber
+    // each other's switches nor steal each other's drained spans.
     let telem_on = cfg.telemetry || cfg.worker_trace;
     let session = telem_on.then(|| pool.telemetry_session(cfg.worker_trace));
     let pool_before = telem_on.then(|| pool.telemetry());
@@ -226,7 +239,7 @@ pub(crate) struct Vm<'a> {
     cur_tag: AtomicU64,
 }
 
-/// A per-task result slot, as in `flat-exec`: the task's value plus its
+/// A per-task result slot: the task's value plus its
 /// privately recorded threshold comparisons.
 type TaskSlot<T> = Mutex<Option<Result<(T, Vec<CmpRecord>)>>>;
 
@@ -736,7 +749,7 @@ impl Vm<'_> {
     /// As [`Vm::dim_plan`] for the innermost dimension, with the fold
     /// loops' error message. Build it only when the loop is nonempty, so
     /// an empty block skips the check exactly as the per-element path
-    /// (and `flat-exec`) would.
+    /// would.
     fn inner_plan(&self, fr: &VmFrame, sg: &CompiledSeg, inner_w: i64) -> Result<DimPlan> {
         let dim = sg
             .ctx
@@ -970,7 +983,7 @@ impl Vm<'_> {
             let r = (|| {
                 self.bind_segment(&mut sub, sg, widths, seg)?;
                 // Neutral elements read after the segment context is
-                // bound, as in flat-exec (they may reference it).
+                // bound (they may reference it).
                 self.copy_locs(&mut sub, nes, accs)?;
                 let (jlo, jhi) = (b * grain, (b * grain + grain).min(inner_w));
                 if jlo < jhi {
@@ -993,7 +1006,7 @@ impl Vm<'_> {
         // Combine block partials left-to-right within each segment, in
         // the segment's context. Runs on the host frame in kernel mode:
         // every register it writes is dead afterwards (no reuse), and
-        // its threshold records land in fr.path in flat-exec's order.
+        // its threshold records land in fr.path in evaluation order.
         let saved = fr.in_kernel;
         fr.in_kernel = true;
         let res = (|| {
@@ -1147,8 +1160,7 @@ impl Vm<'_> {
     }
 
     /// Append one point's results (read straight from their registers)
-    /// onto the accumulators — `flat-exec`'s `accumulate` without the
-    /// intermediate `Value`s.
+    /// onto the accumulators, without intermediate `Value`s.
     fn accumulate_locs(
         &self,
         fr: &VmFrame,
@@ -1224,8 +1236,8 @@ impl Vm<'_> {
     }
 }
 
-/// The VM's clone of `flat-exec`'s `ResultAcc`: per-result flat buffers
-/// plus the element shape and count.
+/// A result accumulator: per-result flat buffers plus the element shape
+/// and count.
 #[derive(Clone)]
 pub(crate) struct VAcc {
     elem_shape: Vec<i64>,
@@ -1324,5 +1336,163 @@ fn merge_vaccs(out: &mut Option<Vec<VAcc>>, accs: Vec<VAcc>) -> Result<()> {
             }
             Ok(())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flat_ir::ast::*;
+    use flat_ir::builder::*;
+    use flat_ir::types::{Param, Type};
+
+    fn cfg(threads: usize, grain: usize) -> ExecConfig {
+        ExecConfig {
+            thresholds: Thresholds::new(),
+            threads: Some(threads),
+            grain,
+            ..ExecConfig::default()
+        }
+    }
+
+    /// A one-segop program over rows: `[n][m]i64 -> [n]i64` row sums
+    /// (`Red`) or `[n][m]i64 -> [n][m]i64` row prefix sums (`Scan`).
+    fn row_prog(name: &str, scan: bool) -> Program {
+        let mut pb = ProgramBuilder::new(name);
+        let n = pb.size_param("n");
+        let m = pb.size_param("m");
+        let xss = pb.param(
+            "xss",
+            Type::i64()
+                .array_of(SubExp::Var(m))
+                .array_of(SubExp::Var(n)),
+        );
+        let xs_p = Param::fresh("xs", Type::i64().array_of(SubExp::Var(m)));
+        let x_p = Param::fresh("x", Type::i64());
+        let op = binop_lambda(BinOp::Add, ScalarType::I64);
+        let nes = vec![SubExp::i64(0)];
+        let seg = SegOp {
+            kind: if scan {
+                SegKind::Scan { op, nes }
+            } else {
+                SegKind::Red { op, nes }
+            },
+            level: LVL_GRID,
+            ctx: vec![
+                CtxDim::new(SubExp::Var(n), vec![(xs_p.clone(), xss)]),
+                CtxDim::new(SubExp::Var(m), vec![(x_p.clone(), xs_p.name)]),
+            ],
+            body: Body::results(vec![SubExp::Var(x_p.name)]),
+            body_ret: vec![Type::i64()],
+            tiling: Tiling::None,
+        };
+        let mut out_t = Type::i64();
+        if scan {
+            out_t = out_t.array_of(SubExp::Var(m));
+        }
+        let out_t = out_t.array_of(SubExp::Var(n));
+        let ys = pb.body.bind("ys", out_t.clone(), Exp::Seg(seg));
+        pb.finish(vec![SubExp::Var(ys)], vec![out_t])
+    }
+
+    fn matrix(n: i64, m: i64) -> Value {
+        let data: Vec<i64> = (0..n * m).map(|i| i * 7 - 3).collect();
+        Value::array_from(vec![n, m], Buffer::I64(data))
+    }
+
+    #[test]
+    fn segred_matches_interpreter_across_grains_and_threads() {
+        let prog = row_prog("rowsums", false);
+        let args = vec![Value::i64_(5), Value::i64_(13), matrix(5, 13)];
+        let expect = interp::run_program(&prog, &args, &Thresholds::new()).unwrap();
+        for threads in [1, 4, 8] {
+            for grain in [1, 3, 256] {
+                let rep = run_program(&prog, &args, &cfg(threads, grain)).unwrap();
+                assert_eq!(rep.values, expect, "threads={threads} grain={grain}");
+                assert_eq!(rep.launches.len(), 1);
+                assert_eq!(rep.launches[0].kind, "segred");
+            }
+        }
+    }
+
+    #[test]
+    fn segscan_matches_interpreter_across_grains_and_threads() {
+        let prog = row_prog("rowscans", true);
+        let args = vec![Value::i64_(4), Value::i64_(17), matrix(4, 17)];
+        let expect = interp::run_program(&prog, &args, &Thresholds::new()).unwrap();
+        for threads in [1, 4, 8] {
+            for grain in [1, 5, 256] {
+                let rep = run_program(&prog, &args, &cfg(threads, grain)).unwrap();
+                assert_eq!(rep.values, expect, "threads={threads} grain={grain}");
+                assert_eq!(rep.launches[0].kind, "segscan");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_spaces_match_interpreter() {
+        for (scan, shapes) in [
+            (false, &[(0, 5), (5, 0), (0, 0)][..]),
+            (true, &[(0, 5), (5, 0)][..]),
+        ] {
+            let prog = row_prog("rows", scan);
+            for &(n, m) in shapes {
+                let args = vec![Value::i64_(n), Value::i64_(m), matrix(n, m)];
+                let expect = interp::run_program(&prog, &args, &Thresholds::new()).unwrap();
+                let rep = run_program(&prog, &args, &cfg(4, 2)).unwrap();
+                assert_eq!(rep.values, expect, "scan={scan} n={n} m={m}");
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_guard_is_dispatched_live() {
+        let mut pb = ProgramBuilder::new("guarded");
+        let n = pb.size_param("n");
+        let c = pb.body.bind(
+            "c",
+            Type::bool(),
+            Exp::CmpThreshold {
+                factors: vec![SubExp::Var(n)],
+                threshold: ThresholdId(0),
+            },
+        );
+        let r = pb.body.bind(
+            "r",
+            Type::i64(),
+            Exp::If {
+                cond: SubExp::Var(c),
+                tb: Body::results(vec![SubExp::i64(1)]),
+                fb: Body::results(vec![SubExp::i64(2)]),
+                ret: vec![Type::i64()],
+            },
+        );
+        let prog = pb.finish(vec![SubExp::Var(r)], vec![Type::i64()]);
+        let cfg = ExecConfig {
+            thresholds: Thresholds::new().with(ThresholdId(0), 100),
+            threads: Some(2),
+            ..ExecConfig::default()
+        };
+
+        let hi = run_program(&prog, &[Value::i64_(500)], &cfg).unwrap();
+        assert_eq!(hi.values, vec![Value::i64_(1)]);
+        assert_eq!(hi.signature(), vec![(0, true)]);
+        assert_eq!(hi.path[0].par, 500);
+
+        let lo = run_program(&prog, &[Value::i64_(50)], &cfg).unwrap();
+        assert_eq!(lo.values, vec![Value::i64_(2)]);
+        assert_eq!(lo.signature(), vec![(0, false)]);
+    }
+
+    #[test]
+    fn measure_returns_the_last_report_and_the_spread() {
+        let prog = row_prog("rowsums", false);
+        let args = vec![Value::i64_(3), Value::i64_(4), matrix(3, 4)];
+        let (rep, m) = crate::measure(&prog, &args, &cfg(2, 256), 3, 1).unwrap();
+        assert_eq!(m.runs.len(), 3);
+        assert!(m.median_nanos > 0.0);
+        assert!(m.min_nanos <= m.median_nanos && m.median_nanos <= m.max_nanos);
+        assert!(m.mean_nanos > 0.0 && m.stddev_nanos >= 0.0);
+        assert_eq!(rep.values[0].shape(), vec![3]);
     }
 }

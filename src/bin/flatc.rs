@@ -36,7 +36,7 @@
 //! docs/observability.md). `--quiet` suppresses informational stderr
 //! output and the `FLAT_OBS` summary sink.
 //!
-//! Executor telemetry (`flatc exec`): `--trace FILE` renders kernel
+//! Execution telemetry (`flatc exec`, on the VM): `--trace FILE` renders kernel
 //! launches on the synthetic 1 GHz host device — **1 cycle = 1 ns of
 //! measured wall time** — as a single-track Chrome trace;
 //! `--worker-trace FILE` instead writes real per-worker timelines from
@@ -53,7 +53,7 @@
 //! Service mode: `flatc serve` runs the `flatd` daemon (content-hash
 //! compile cache, per-device tuning cache, bounded-queue admission
 //! control, streaming results); `flatc remote exec` executes on it with
-//! results bitwise-identical to a local `--backend vm` run
+//! results bitwise-identical to a local `flatc exec` run
 //! (`--check-local` verifies that in-process); `flatc serve-bench`
 //! measures p50/p99 latency and throughput under concurrent sessions.
 //! See docs/SERVICE.md.
@@ -149,21 +149,20 @@ const USAGE: &str = "usage:
                  [--threshold NAME=V]... [--profile] [--attr] [--verify]
                  [--attr-folded FILE] [--trace FILE]
                  --arg <i64 or [d][d]type> ...
-  flatc exec     <file> <entry> [--backend exec|vm] [--threads N] [--grain N]
+  flatc exec     <file> <entry> [--threads N] [--grain N]
                  [--data-seed S] [--tuning FILE] [--threshold NAME=V]...
                  [--reps N] [--profile] [--attr] [--trace FILE]
                  [--exec-report] [--worker-trace FILE] [--sample-log FILE]
                  [--disasm] --arg <i64 or [d][d]type> ...
-  flatc tune     <file> <entry> [--backend sim|exec|vm] [--device k40|vega64]
+  flatc tune     <file> <entry> [--backend sim|vm] [--device k40|vega64]
                  [--exhaustive] [--coverage] [--out FILE] [--trace FILE]
                  [--threads N] [--data-seed S]
                  --dataset a1,a2,... [--dataset ...]
-  flatc bench    [--check|--write] [--backend sim|exec|vm]
+  flatc bench    [--check|--write] [--backend sim|vm]
                  [--device k40|vega64] [--threads N]
                  [--baseline FILE] [--tolerance PCT]
   flatc fuzz     [--iters N] [--seed S] [--corpus DIR] [--failures DIR]
-                 [--max-failures N] [--verify|--no-verify] [--no-exec]
-                 [--no-vm]
+                 [--max-failures N] [--verify|--no-verify] [--no-vm]
   flatc serve    [--addr HOST:PORT] [--workers N] [--queue N] [--batch N]
                  [--threads N] [--deadline-ms N] [--cache N]
   flatc remote exec <file> <entry> --connect ADDR [--check-local]
@@ -190,11 +189,11 @@ exit codes:
   1 = failure    2 = parse error    3 = type error    4 = lint errors
 environment:
   FLAT_OBS=summary,json=PATH,trace=PATH,folded=PATH   attach sinks
-  FLAT_EXEC_THREADS=N   default thread count for the exec backend
+  FLAT_EXEC_THREADS=N   default thread count for host (vm) execution
 notes:
-  exec --backend vm lowers to the flat register bytecode and runs it on
-  the same pool; results, paths, and reports are bitwise identical to
-  --backend exec (--disasm dumps the bytecode instead of running)
+  exec lowers the flattened program to the flat register bytecode and
+  runs it on the work-stealing pool; results are bitwise identical at
+  every thread count (--disasm dumps the bytecode instead of running)
   exec --trace renders kernels on the synthetic 1 GHz host device
   (1 cycle = 1 ns of wall time); use --worker-trace for real
   per-worker timelines from the pool telemetry
@@ -372,12 +371,6 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
         }
         "exec" => {
             let fl = compiler::flatten_incremental(&prog).map_err(|e| Fail(e.to_string()))?;
-            let backend = option_values(rest, "--backend").next().unwrap_or("exec");
-            if !matches!(backend, "exec" | "vm") {
-                return Err(Usage(format!(
-                    "unknown --backend {backend} (expected exec or vm)"
-                )));
-            }
             if rest.iter().any(|a| a == "--disasm") {
                 let compiled = vm::compile(&fl.prog).map_err(|e| Fail(e.to_string()))?;
                 print!("{}", vm::disasm(&compiled));
@@ -400,12 +393,9 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
             cfg.telemetry =
                 exec_report || sample_log.is_some() || exec::telemetry_requested_by_env();
             let reps = parse_opt_num(rest, "--reps", 1usize)?;
-            let (rep, m) = match backend {
-                "vm" => vm::measure(&fl.prog, &vals, &cfg, reps, reps.min(1)),
-                _ => exec::measure(&fl.prog, &vals, &cfg, reps, reps.min(1)),
-            }
-            .map_err(|e| Fail(e.to_string()))?;
-            println!("backend:       {backend} ({} threads)", rep.threads);
+            let (rep, m) = vm::measure(&fl.prog, &vals, &cfg, reps, reps.min(1))
+                .map_err(|e| Fail(e.to_string()))?;
+            println!("backend:       vm ({} threads)", rep.threads);
             println!(
                 "runtime:       {:.1} µs (median of {} run(s))",
                 m.median_nanos / 1_000.0,
@@ -477,8 +467,7 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
                 }
             }
             if let Some(path) = archive_path(rest) {
-                let build = if backend == "vm" { perf::from_vm } else { perf::from_exec };
-                let mut rec = build(
+                let mut rec = perf::from_vm(
                     entry,
                     Some(file),
                     &src,
@@ -504,13 +493,9 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
             };
             let dev = match backend {
                 "sim" => parse_device(rest).map_err(Usage)?,
-                "exec" | "vm" => {
-                    exec::host_device(threads.unwrap_or_else(exec::default_threads))
-                }
+                "vm" => exec::host_device(threads.unwrap_or_else(exec::default_threads)),
                 other => {
-                    return Err(Usage(format!(
-                        "unknown --backend {other} (expected sim, exec, or vm)"
-                    )))
+                    return Err(Usage(format!("unknown --backend {other} (expected sim or vm)")))
                 }
             };
             let mut datasets = Vec::new();
@@ -525,16 +510,13 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
             let mut problem = tuning::TuningProblem::new(&fl, datasets, dev);
             let seed = parse_opt_num(rest, "--data-seed", 42u64)?;
             let reps = parse_opt_num(rest, "--reps", 3usize)?;
-            if backend == "exec" || backend == "vm" {
+            if backend == "vm" {
                 // Measured cost function: materialize each dataset's
                 // abstract args once per evaluation and report the
                 // median wall-clock in nanoseconds as "cycles" (the
                 // host device's 1 GHz clock makes cycles_to_us the
-                // ns→µs conversion). The vm backend times the bytecode
-                // tier instead of the tree-walking executor; paths and
-                // launch records are identical, only the time differs.
-                let prog_ref = &fl.prog;
-                let measure_fn = if backend == "vm" { vm::measure } else { exec::measure };
+                // ns→µs conversion). The program is lowered once.
+                let compiled = vm::compile(&fl.prog).map_err(|e| Fail(e.to_string()))?;
                 problem = problem.with_runner(move |d, t| {
                     let vals =
                         exec::materialize(&d.args, seed).map_err(|e| gpu::SimError(e.0))?;
@@ -543,7 +525,7 @@ fn run(args: &[String], quiet: bool) -> Result<(), CliError> {
                         threads,
                         ..exec::ExecConfig::default()
                     };
-                    let (rep, m) = measure_fn(prog_ref, &vals, &cfg, reps, 1)
+                    let (rep, m) = vm::measure_compiled(&compiled, &vals, &cfg, reps, 1)
                         .map_err(|e| gpu::SimError(e.0))?;
                     Ok(exec::sim_report_of(&rep, m.median_nanos))
                 });
@@ -688,22 +670,6 @@ fn run_bench(rest: &[String], quiet: bool) -> Result<(), CliError> {
             }
             (bench::measure_suite(&dev), dev.name)
         }
-        "exec" => {
-            let threads: Option<usize> = match option_values(rest, "--threads").next() {
-                None => None,
-                Some(s) => {
-                    Some(s.parse().map_err(|e| Usage(format!("bad --threads {s}: {e}")))?)
-                }
-            };
-            let reps = parse_opt_num(rest, "--reps", 3usize)?;
-            if !quiet {
-                eprintln!(
-                    "measuring benchmark suite on {} host threads...",
-                    threads.unwrap_or_else(exec::default_threads)
-                );
-            }
-            (bench::measure_suite_exec(threads, reps, 1), "host")
-        }
         "vm" => {
             let threads: Option<usize> = match option_values(rest, "--threads").next() {
                 None => None,
@@ -722,7 +688,7 @@ fn run_bench(rest: &[String], quiet: bool) -> Result<(), CliError> {
         }
         other => {
             return Err(Usage(format!(
-                "unknown --backend {other} (expected sim, exec, or vm)"
+                "unknown --backend {other} (expected sim or vm)"
             )))
         }
     };
@@ -810,15 +776,9 @@ fn run_fuzz(rest: &[String], quiet: bool) -> Result<(), CliError> {
     if rest.iter().any(|a| a == "--no-verify") {
         oracle.verify = false;
     }
-    // Likewise the executor leg (runs every forced path and the live
-    // dispatch on real threads); --no-exec keeps the campaign on the
-    // simulator-only oracles.
-    if rest.iter().any(|a| a == "--no-exec") {
-        oracle.exec = false;
-    }
-    // And the bytecode-VM leg (same forced paths and live dispatch,
-    // through the compiled tier); --no-vm keeps the campaign on the
-    // interpreter and tree-walking executor only.
+    // Likewise the VM leg (runs every forced path and the live dispatch
+    // on real threads); --no-vm keeps the campaign on the interpreter
+    // and simulator oracles.
     if rest.iter().any(|a| a == "--no-vm") {
         oracle.vm = false;
     }

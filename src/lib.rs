@@ -27,16 +27,14 @@
 //!   well-formedness, symbolic size analysis, threshold-tree lint, and
 //!   segop write-disjointness, with provenance-anchored diagnostics
 //!   (`flatc lint`, `--verify`).
-//! * [`exec`] (`flat-exec`) — the real multithreaded CPU executor:
-//!   work-stealing kernels for `segmap`/`segred`/`segscan`, live
-//!   threshold dispatch against the actual `Par(...)` degrees, and
-//!   wall-clock measurement for tuning (`flatc exec`,
-//!   `flatc tune --backend exec`).
-//! * [`vm`] (`flat-vm`) — the compiled tier of the CPU backend: a flat
-//!   register bytecode with monomorphic scalar opcodes, executed on the
-//!   same work-stealing pool with `flat-exec`'s exact kernel
-//!   decomposition, bitwise interchangeable with it
-//!   (`flatc exec --backend vm`).
+//! * [`vm`] (`flat-vm`) — the CPU executor: lowers flattened programs
+//!   to a flat register bytecode and runs `segmap`/`segred`/`segscan`
+//!   as work-stealing kernels, with live threshold dispatch against the
+//!   actual `Par(...)` degrees and wall-clock measurement for tuning
+//!   (`flatc exec`, `flatc tune --backend vm`).
+//! * [`exec`] (`flat-exec`) — the runtime types the executor shares
+//!   with its callers: `ExecConfig`, `ExecReport`, `Measurement`,
+//!   telemetry rendering, and dataset materialization.
 //! * [`perf`] (`flat-perf`) — the performance observatory: the
 //!   persistent run archive, provenance-aligned attribution diffing,
 //!   and the threshold-regret what-if profiler (`flatc perf`).

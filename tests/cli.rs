@@ -2,6 +2,7 @@
 //! binary end to end.
 
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn flatc_status(args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_flatc"))
@@ -32,8 +33,13 @@ fn flatc(args: &[&str]) -> (bool, String, String) {
     )
 }
 
+/// Run `f` on a fresh copy of the matmul source. Every call gets its
+/// own directory (process id plus a per-process counter), so tests
+/// running in parallel never delete each other's sources.
 fn with_source(f: impl FnOnce(&str)) {
-    let dir = std::env::temp_dir().join(format!("flatc-test-{}", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("flatc-test-{}-{n}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("mm.fut");
     std::fs::write(&path, MATMUL).unwrap();
@@ -128,7 +134,7 @@ fn exec_runs_and_live_dispatch_follows_thresholds() {
         base.extend_from_slice(&args);
         let (ok, stdout, stderr) = flatc(&base);
         assert!(ok, "{stdout}{stderr}");
-        assert!(stdout.contains("backend:       exec (2 threads)"), "{stdout}");
+        assert!(stdout.contains("backend:       vm (2 threads)"), "{stdout}");
         assert!(stdout.contains("runtime:"), "{stdout}");
         assert!(stdout.contains("version path:"), "{stdout}");
         assert!(stdout.contains("result 0:      [8][8]"), "{stdout}");
@@ -176,7 +182,7 @@ fn exec_tune_measures_wall_clock_and_writes_usable_tuning() {
             std::env::temp_dir().join(format!("flatc-exec-{}.tuning", std::process::id()));
         let tuning_s = tuning.to_str().unwrap();
         let (ok, stdout, stderr) = flatc(&[
-            "tune", src, "matmul", "--backend", "exec", "--threads", "2",
+            "tune", src, "matmul", "--backend", "vm", "--threads", "2",
             "--reps", "1", "--out", tuning_s,
             "--dataset", "16,64,16,[16][64]f32,[64][16]f32",
             "--dataset", "4,8,4,[4][8]f32,[8][4]f32",
@@ -207,7 +213,7 @@ fn bench_refuses_cross_backend_comparison() {
     let base = std::env::temp_dir().join(format!("flatc-base-{}.json", std::process::id()));
     let base_s = base.to_str().unwrap();
     let (ok, stdout, stderr) = flatc(&[
-        "bench", "--backend", "exec", "--threads", "2", "--reps", "1",
+        "bench", "--backend", "vm", "--threads", "2", "--reps", "1",
         "--baseline", base_s, "--write", "--quiet",
     ]);
     assert!(ok, "{stdout}{stderr}");

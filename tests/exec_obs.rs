@@ -1,4 +1,4 @@
-//! Acceptance tests for executor telemetry (`exec-obs`): scheduler
+//! Acceptance tests for execution telemetry on the VM: scheduler
 //! counter invariants, worker-trace well-formedness, the sample-log
 //! round trip through the autotune loader, and the guarantee that
 //! telemetry never perturbs results.
@@ -60,7 +60,7 @@ fn counters_reconcile_at_every_thread_count() {
     let fl = flatten(SUMROWS, "sumrows");
     let args = sumrows_args();
     for threads in THREAD_COUNTS {
-        let rep = exec::run_program(&fl.prog, &args, &cfg(threads)).unwrap();
+        let rep = vm::run_program(&fl.prog, &args, &cfg(threads)).unwrap();
         let pool = rep.pool.as_ref().expect("telemetry on records pool counters");
         let slots = pool.workers.len();
         assert_eq!(slots, threads, "{threads} threads: workers + caller slot");
@@ -95,7 +95,7 @@ fn per_kernel_telemetry_mirrors_the_run_totals() {
     let _guard = POOL_LOCK.lock().unwrap();
     let fl = flatten(SUMROWS, "sumrows");
     let args = sumrows_args();
-    let rep = exec::run_program(&fl.prog, &args, &cfg(4)).unwrap();
+    let rep = vm::run_program(&fl.prog, &args, &cfg(4)).unwrap();
     let run_total = rep.pool.as_ref().unwrap().total();
 
     assert!(!rep.launches.is_empty());
@@ -123,7 +123,7 @@ fn worker_trace_is_well_formed_chrome_json() {
     let threads = 4;
     let mut c = cfg(threads);
     c.worker_trace = true;
-    let rep = exec::run_program(&fl.prog, &args, &c).unwrap();
+    let rep = vm::run_program(&fl.prog, &args, &c).unwrap();
 
     // Raw spans: non-empty, every one joins a launch by tag and names a
     // real slot.
@@ -184,7 +184,7 @@ fn telemetry_does_not_perturb_results() {
     let baseline = {
         let mut c = cfg(1);
         c.telemetry = false;
-        exec::run_program(&fl.prog, &args, &c).unwrap()
+        vm::run_program(&fl.prog, &args, &c).unwrap()
     };
     for threads in THREAD_COUNTS {
         for (telemetry, worker_trace) in [(false, false), (true, false), (true, true)] {
@@ -195,7 +195,7 @@ fn telemetry_does_not_perturb_results() {
                 worker_trace,
                 ..ExecConfig::default()
             };
-            let rep = exec::run_program(&fl.prog, &args, &c).unwrap();
+            let rep = vm::run_program(&fl.prog, &args, &c).unwrap();
             assert_eq!(
                 rep.values, baseline.values,
                 "telemetry={telemetry} worker_trace={worker_trace} threads={threads} \
@@ -211,7 +211,7 @@ fn sample_log_round_trips_through_the_autotune_loader() {
     let _guard = POOL_LOCK.lock().unwrap();
     let fl = flatten(SUMROWS, "sumrows");
     let args = sumrows_args();
-    let rep = exec::run_program(&fl.prog, &args, &cfg(4)).unwrap();
+    let rep = vm::run_program(&fl.prog, &args, &cfg(4)).unwrap();
     assert!(!rep.launches.is_empty());
 
     let path = std::env::temp_dir().join(format!("exec-obs-samples-{}.jsonl", std::process::id()));

@@ -1,5 +1,5 @@
 //! End-to-end tests for the flatd daemon: remote execution must be
-//! **bitwise identical** to a local `--backend vm` run on every example
+//! **bitwise identical** to a local `flatc exec` run on every example
 //! and benchmark program, repeated requests must be served from the
 //! content-hash compile cache (the hit counter proves no recompilation
 //! happened), admission control must shed late and excess work with

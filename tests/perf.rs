@@ -395,13 +395,12 @@ fn cli_regret_reports_and_logs_samples() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The `--check` gate refuses to compare wall-clock measurements taken
-/// by different backends: a `vm` baseline cannot gate an `exec`
-/// measurement (the numbers are commensurable in units but not in
-/// meaning — the VM's compiled dispatch is the thing being measured),
-/// and the error tells the user how to re-record.
+/// The `--check` gate refuses to compare measurements taken by
+/// different backends: a `vm` baseline (wall-clock nanoseconds) cannot
+/// gate a `sim` measurement (simulated cycles), and the error tells the
+/// user how to re-record.
 #[test]
-fn bench_check_refuses_vm_vs_exec_baseline() {
+fn bench_check_refuses_vm_vs_sim_baseline() {
     let dir = tmp_dir("vm-gate");
     let base = dir.join("baseline.json");
     let base = base.to_str().unwrap();
@@ -422,19 +421,18 @@ fn bench_check_refuses_vm_vs_exec_baseline() {
 
     // Cross backend: refused before any comparison happens.
     let (ok, _, stderr) = flatc(&[
-        "bench", "--backend", "exec", "--check", "--baseline", base, "--reps", "1", "--threads",
-        "2", "--tolerance", "1e9", "--quiet",
+        "bench", "--backend", "sim", "--check", "--baseline", base, "--tolerance", "1e9",
+        "--quiet",
     ]);
     assert!(!ok);
     assert!(stderr.contains("cannot compare across backends"), "{stderr}");
     assert!(stderr.contains("`vm`"), "{stderr}");
-    assert!(stderr.contains("--backend exec"), "{stderr}");
+    assert!(stderr.contains("--backend sim"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// VM runs archive like executor runs — same report type, backend tag
-/// `"vm"` — and survive the JSONL round trip bitwise, wall times and
-/// per-launch costs alike.
+/// VM runs archive with backend tag `"vm"` and survive the JSONL round
+/// trip bitwise, wall times and per-launch costs alike.
 #[test]
 fn vm_records_round_trip_archive_bitwise() {
     let src = std::fs::read_to_string(example("sumrows.fut")).unwrap();
@@ -477,7 +475,7 @@ fn vm_records_round_trip_archive_bitwise() {
 
 /// Two archived VM runs diff with the same bitwise reconciliation as
 /// simulated runs — including runs that took different version paths —
-/// and a VM run refuses to diff against an executor run.
+/// and a VM run refuses to diff against a simulated run.
 #[test]
 fn diff_reconciles_two_vm_runs() {
     let src = std::fs::read_to_string(example("sumrows.fut")).unwrap();
@@ -519,14 +517,13 @@ fn diff_reconciles_two_vm_runs() {
     assert!(self_diff.rows.iter().all(|r| r.delta == 0.0));
     assert_eq!((self_diff.only_a, self_diff.only_b), (0, 0));
 
-    // A vm record never diffs against an exec record, even though both
-    // measure wall nanoseconds on the same machine.
-    let cfg = exec::ExecConfig { threads: Some(2), ..exec::ExecConfig::default() };
-    let (erep, em) = exec::measure(&fl.prog, &args, &cfg, 1, 0).unwrap();
-    let e = perf::from_exec("sumrows", None, &src, &[], &erep, em.median_nanos, 1, &fl.prog.prov);
-    let err = perf::diff_records(&a, &e).unwrap_err();
+    // A vm record never diffs against a simulated one: wall nanoseconds
+    // and simulated cycles are different units.
+    let dev = gpu::DeviceSpec::k40();
+    let (_, sim) = sim_record(&fl, "sumrows", &specs, &Thresholds::new(), &dev);
+    let err = perf::diff_records(&a, &sim).unwrap_err();
     assert!(err.contains("cannot diff across backends"), "{err}");
-    assert!(err.contains("`vm`") && err.contains("`exec`"), "{err}");
+    assert!(err.contains("`vm`") && err.contains("`sim`"), "{err}");
 }
 
 /// Satellite guarantees: baselines stamp their provenance, and the

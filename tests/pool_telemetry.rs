@@ -11,8 +11,8 @@
 //! The fix is a reference-counted telemetry session (the flag drops
 //! only when the *last* session ends), an exclusive span-recording
 //! token, and process-unique kernel tags so a run keeps exactly its own
-//! spans. These tests drive both executors concurrently on one pool and
-//! pin that behaviour.
+//! spans. These tests drive concurrent VM runs on one pool and pin that
+//! behaviour.
 
 use incremental_flattening::prelude::*;
 
@@ -62,14 +62,14 @@ fn concurrent_runs_on_a_shared_pool_keep_telemetry_isolated() {
             let tv = &vals_traced;
             let pv = &vals_plain;
             let a = s.spawn(move || {
-                exec::run_program(&fl_ref.prog, tv, &cfg(true, true)).unwrap()
+                vm::run_program(&fl_ref.prog, tv, &cfg(true, true)).unwrap()
             });
             // Several short telemetry-off runs maximize the chance one
             // finishes while the traced run is mid-flight.
             let b = s.spawn(move || {
                 let mut last = None;
                 for _ in 0..4 {
-                    last = Some(exec::run_program(&fl_ref.prog, pv, &cfg(false, false)).unwrap());
+                    last = Some(vm::run_program(&fl_ref.prog, pv, &cfg(false, false)).unwrap());
                 }
                 last.unwrap()
             });
@@ -100,12 +100,11 @@ fn concurrent_runs_on_a_shared_pool_keep_telemetry_isolated() {
     }
 }
 
-/// Both backends (tree-walking executor and VM) share the pool; a
-/// traced VM run concurrent with untraced executor runs keeps its own
-/// spans and telemetry, and the results stay bitwise identical to a
-/// solo run.
+/// A traced run of a precompiled program, concurrent with untraced runs
+/// that compile their own copy, keeps its own spans and telemetry, and
+/// its results stay bitwise identical to a solo run.
 #[test]
-fn vm_and_exec_share_the_pool_without_cross_talk() {
+fn traced_and_untraced_runs_share_the_pool_without_cross_talk() {
     let fl = flattened();
     let compiled = vm::compile(&fl.prog).unwrap();
     let vals = args(48, 32, 9);
@@ -121,7 +120,7 @@ fn vm_and_exec_share_the_pool_without_cross_talk() {
             });
             let b = s.spawn(move || {
                 for _ in 0..4 {
-                    exec::run_program(&fref.prog, vref, &cfg(false, false)).unwrap();
+                    vm::run_program(&fref.prog, vref, &cfg(false, false)).unwrap();
                 }
             });
             (a.join().unwrap(), b.join().unwrap())
@@ -168,8 +167,8 @@ fn two_traced_runs_serialize_span_recording() {
         let fr = &fl;
         let va = &va;
         let vb = &vb;
-        let a = s.spawn(move || exec::run_program(&fr.prog, va, &cfg(true, true)).unwrap());
-        let b = s.spawn(move || exec::run_program(&fr.prog, vb, &cfg(true, true)).unwrap());
+        let a = s.spawn(move || vm::run_program(&fr.prog, va, &cfg(true, true)).unwrap());
+        let b = s.spawn(move || vm::run_program(&fr.prog, vb, &cfg(true, true)).unwrap());
         (a.join().unwrap(), b.join().unwrap())
     });
 

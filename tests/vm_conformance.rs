@@ -1,16 +1,15 @@
-//! Conformance tests for the `flat-vm` bytecode tier: on every example,
-//! corpus seed, and benchmark, the VM must be **bitwise
-//! interchangeable** with the tree-walking executor — identical result
-//! bits and identical `path_signature` at every thread count and grain
-//! — while both stay in the interpreter-agreement envelope
-//! `tests/executor.rs` establishes (integers exact everywhere; floats
-//! bitwise at the single-block default grain, approximately equal under
-//! multi-block reassociation).
+//! Conformance tests for the `flat-vm` executor: on every example,
+//! corpus seed, and benchmark, VM results must be **bit-identical**
+//! across 1, 4 and 8 threads — values and `path_signature` alike — at
+//! the default grain and at a tiny grain that forces multi-block
+//! decompositions, and the live-dispatched path must be one the
+//! threshold branching tree admits.
 //!
-//! The vm-vs-exec comparison is *unconditionally* bitwise, floats
-//! included: the VM inherits `flat-exec`'s exact decomposition (chunk
-//! boundaries, block partials, combine order), so there is no
-//! reassociation between the two backends to forgive.
+//! Agreement with the reference interpreter: integer programs match
+//! exactly at every grain; float programs match bitwise at the default
+//! (single-block) grain and approximately under multi-block reduction,
+//! where the combine order differs from the interpreter's strictly
+//! sequential fold.
 //!
 //! Two disassembly goldens pin the bytecode lowering: register
 //! assignment, monomorphic opcode selection, and the compiled segop
@@ -75,64 +74,44 @@ fn has_floats(vals: &[Value]) -> bool {
     })
 }
 
-/// The three-way conformance contract for one flattened program on one
-/// argument list: interpreter vs executor vs VM at every thread count
-/// and both grains.
+/// The conformance contract for one flattened program on one argument
+/// list: the VM against itself at every thread count and against the
+/// interpreter, at both grains.
 fn check_conformance(name: &str, fl: &compiler::Flattened, args: &[Value]) {
     let reference = ir::interp::run_program(&fl.prog, args, &Thresholds::new())
         .unwrap_or_else(|e| panic!("{name}: interpreter failed: {e}"));
     let exact = !has_floats(&reference);
 
     for grain in [exec::DEFAULT_GRAIN, SMALL_GRAIN] {
-        let mut first_vm: Option<ExecReport> = None;
-        for &threads in &THREAD_COUNTS {
-            let erep = exec::run_program(&fl.prog, args, &cfg(threads, grain))
-                .unwrap_or_else(|e| {
-                    panic!("{name}: exec ({threads} threads, grain {grain}): {e}")
-                });
-            let vrep = vm::run_program(&fl.prog, args, &cfg(threads, grain))
-                .unwrap_or_else(|e| {
+        let reports: Vec<ExecReport> = THREAD_COUNTS
+            .iter()
+            .map(|&threads| {
+                vm::run_program(&fl.prog, args, &cfg(threads, grain)).unwrap_or_else(|e| {
                     panic!("{name}: vm ({threads} threads, grain {grain}): {e}")
-                });
+                })
+            })
+            .collect();
 
-            // The headline contract: the VM is bitwise interchangeable
-            // with the executor — results, floats included, and the
-            // live-dispatched threshold path.
+        // Bit-identical across thread counts, including the taken path,
+        // and the live path is one the branching tree can reach.
+        for (rep, threads) in reports.iter().zip(THREAD_COUNTS) {
             assert_eq!(
-                vrep.values, erep.values,
-                "{name}: grain {grain}, {threads} threads: vm diverges from exec"
+                rep.values, reports[0].values,
+                "{name}: grain {grain}: vm at {threads} threads diverges from 1 thread"
             );
             assert_eq!(
-                vrep.signature(),
-                erep.signature(),
-                "{name}: grain {grain}, {threads} threads: vm path differs from exec"
+                rep.signature(),
+                reports[0].signature(),
+                "{name}: grain {grain}: vm path depends on thread count"
             );
             assert!(
-                exec::path_in_tree(&fl.thresholds, &vrep.signature()),
+                fl.thresholds.path_in_tree(&rep.signature()),
                 "{name}: vm live path {:?} not in the threshold tree",
-                vrep.signature()
+                rep.signature()
             );
-
-            // And the VM is deterministic across thread counts on its
-            // own terms, like the executor.
-            match &first_vm {
-                None => first_vm = Some(vrep),
-                Some(first) => {
-                    assert_eq!(
-                        vrep.values, first.values,
-                        "{name}: grain {grain}: vm at {threads} threads diverges from 1 thread"
-                    );
-                    assert_eq!(
-                        vrep.signature(),
-                        first.signature(),
-                        "{name}: grain {grain}: vm path depends on thread count"
-                    );
-                }
-            }
         }
 
-        // Interpreter agreement, per the executor.rs envelope.
-        let got = &first_vm.expect("at least one thread count").values;
+        let got = &reports[0].values;
         if exact {
             assert_eq!(got, &reference, "{name}: grain {grain}: vm != interpreter");
         } else if grain == exec::DEFAULT_GRAIN {
@@ -227,13 +206,11 @@ fn corpus_conforms() {
     }
 }
 
-/// Zero-extent degrees must flow through both backends as empty results
-/// — never panics. This pins the fix for the executor's
-/// panic-on-empty-segment family (`take_slot`/`partials.next` expects,
-/// `ctx.last`, out-of-bounds indexing), all now structured `ExecError`s
-/// or well-defined empty shapes.
+/// Zero-extent degrees must flow through the VM as empty results —
+/// never panics: empty segments, empty blocks, and zero-width inner
+/// dimensions are structured `ExecError`s or well-defined empty shapes.
 #[test]
-fn zero_extent_segments_run_on_both_backends() {
+fn zero_extent_segments_run_on_the_vm() {
     let empty_i64 = |shape: Vec<i64>| Value::array_from(shape, Buffer::I64(vec![]));
 
     // segmap over zero elements.
@@ -263,43 +240,79 @@ fn zero_extent_segments_run_on_both_backends() {
     check_conformance("segscan/zero-segments", &fl, &args);
 }
 
-/// An out-of-bounds index is a structured `ExecError` on both backends
-/// — identical message, no panic (it used to assert inside
-/// `index_outer_many`).
+/// An out-of-bounds index is a structured `ExecError` on the VM — no
+/// panic — whether it is too large or negative.
 #[test]
-fn out_of_bounds_index_is_a_structured_error_on_both_backends() {
+fn out_of_bounds_index_is_a_structured_error() {
     let src = "def main [n] (xs: [n]i64) (c: i64) =\n  xs[c]\n";
     let prog = lang::compile(src, "main").unwrap();
     let fl = compiler::flatten_incremental(&prog).unwrap();
-    let args = vec![Value::i64_(3), Value::i64_vec(vec![10, 20, 30]), Value::i64_(7)];
-
-    let e = exec::run_program(&fl.prog, &args, &cfg(2, SMALL_GRAIN))
-        .expect_err("exec must reject the out-of-bounds index");
-    let v = vm::run_program(&fl.prog, &args, &cfg(2, SMALL_GRAIN))
-        .expect_err("vm must reject the out-of-bounds index");
-    for (backend, err) in [("exec", &e), ("vm", &v)] {
-        assert!(
-            err.0.contains("out of bounds"),
-            "{backend}: unstructured error: {}",
-            err.0
-        );
+    for c in [7, -1] {
+        let args = vec![
+            Value::i64_(3),
+            Value::i64_vec(vec![10, 20, 30]),
+            Value::i64_(c),
+        ];
+        for threads in THREAD_COUNTS {
+            let e = vm::run_program(&fl.prog, &args, &cfg(threads, SMALL_GRAIN))
+                .expect_err("vm must reject the out-of-bounds index");
+            assert!(
+                e.0.contains("out of bounds"),
+                "index {c}: unstructured error: {}",
+                e.0
+            );
+        }
     }
-    assert_eq!(e.0, v.0, "both backends should agree on the error text");
 
-    // In-bounds still works, bitwise across backends.
-    let args = vec![Value::i64_(3), Value::i64_vec(vec![10, 20, 30]), Value::i64_(1)];
+    // In-bounds still works, bitwise across thread counts.
+    let args = vec![
+        Value::i64_(3),
+        Value::i64_vec(vec![10, 20, 30]),
+        Value::i64_(1),
+    ];
     check_conformance("index/in-bounds", &fl, &args);
+}
 
-    // Negative index is the same structured failure.
-    let args = vec![Value::i64_(3), Value::i64_vec(vec![10, 20, 30]), Value::i64_(-1)];
-    assert!(exec::run_program(&fl.prog, &args, &cfg(2, SMALL_GRAIN))
-        .expect_err("negative index")
-        .0
-        .contains("out of bounds"));
-    assert!(vm::run_program(&fl.prog, &args, &cfg(2, SMALL_GRAIN))
-        .expect_err("negative index")
-        .0
-        .contains("out of bounds"));
+/// The live-dispatched path is not just *consistent* with the tree
+/// (`path_in_tree`) — it is literally one of the paths
+/// `ThresholdRegistry::enumerate_assignments` produces when forced, and
+/// every forced path computes the same result.
+#[test]
+fn live_dispatch_takes_an_enumerated_path() {
+    let src = "\
+def main [n][m] (xss: [n][m]i64) (ys: [m]i64) (c: i64) =
+  map (\\r -> redomap (+) (\\x -> x * c) 0 r) xss
+";
+    let inputs = fuzz::oracle::FuzzInputs::from_seed(5, 6, 99);
+    let prog = lang::compile(src, "main").unwrap();
+    let fl = compiler::flatten_incremental(&prog).unwrap();
+    let args = inputs.ir_args();
+
+    let live = vm::run_program(&fl.prog, &args, &cfg(4, SMALL_GRAIN)).unwrap();
+    let live_sig = live.signature();
+
+    let mut forced_sigs = Vec::new();
+    for asg in fl.thresholds.enumerate_assignments(32) {
+        let mut t = Thresholds::new();
+        for (id, taken) in &asg {
+            t.set(*id, if *taken { 0 } else { i64::MAX });
+        }
+        let c = ExecConfig {
+            thresholds: t,
+            ..cfg(2, SMALL_GRAIN)
+        };
+        let rep = vm::run_program(&fl.prog, &args, &c).unwrap();
+        assert_eq!(rep.values, live.values, "forced path changed the result");
+        forced_sigs.push(rep.signature());
+    }
+    assert!(
+        forced_sigs.len() >= 2,
+        "the nest should have several versions"
+    );
+    assert!(
+        forced_sigs.contains(&live_sig),
+        "live path {live_sig:?} not among the enumerated paths {forced_sigs:?}"
+    );
 }
 
 /// Bytecode goldens: the lowering of a one-level `map` (a `segmap` with
