@@ -30,37 +30,37 @@ pub struct KernelTelem {
     /// Pool counter delta across the kernel: what each slot did while
     /// this kernel ran.
     pub pool: workpool::PoolTelemetry,
-    /// Histogram of task sizes (elements per pool task) the grain-based
+    /// Histogram of task sizes (elements per pool task) the kernel's
     /// decomposition produced — the grain-efficiency signal.
     pub task_sizes: HistogramSnapshot,
 }
 
-/// Reconstruct the task-size histogram of a kernel's decomposition.
-/// Mirrors the chunking in `seg_map` / `seg_red` / `seg_scan` exactly:
-/// sizes depend only on the space and the grain, never on threads.
-/// Public so the bytecode VM (`flat-vm`), which inherits the same
-/// decomposition, reports identical telemetry.
+/// Reconstruct the task-size histogram of a kernel's decomposition, as
+/// `flat-vm` cut it: a segmap's `total` points in chunks of `chunk`
+/// (the grain, or less for a heavy segmap split across the threads), a
+/// segred's or segscan's `segments` rows of `inner_w` in blocks of
+/// `chunk` (always the grain).
 pub fn task_size_histogram(
     is_map: bool,
     total: i64,
     segments: i64,
     inner_w: i64,
-    grain: usize,
+    chunk: usize,
 ) -> HistogramSnapshot {
     let h = Histogram::default();
     match is_map {
         true => {
             let total = total.max(0) as usize;
-            let n_chunks = total.div_ceil(grain);
+            let n_chunks = total.div_ceil(chunk);
             for c in 0..n_chunks {
-                let lo = c * grain;
-                let hi = ((c + 1) * grain).min(total);
+                let lo = c * chunk;
+                let hi = ((c + 1) * chunk).min(total);
                 h.observe((hi - lo) as u64);
             }
         }
         false => {
             if segments > 0 && total > 0 {
-                let g = grain as i64;
+                let g = chunk as i64;
                 let blocks = ((inner_w + g - 1) / g).max(1);
                 for b in 0..blocks {
                     let size = (inner_w - b * g).min(g).max(0);
@@ -296,7 +296,7 @@ pub fn render_exec_report(rep: &ExecReport) -> String {
             ts.p99(),
             ts.max,
             rep.grain,
-            pct(ts.mean(), rep.grain as f64)
+            pct(ts.mean(), ts.max as f64)
         );
     }
     out

@@ -2,9 +2,9 @@
 //! report of one run, its per-kernel launch records, and the error
 //! type.
 //!
-//! `flat-vm` is the executor that fills them in; its kernel
-//! decomposition depends only on [`ExecConfig::grain`], never on the
-//! thread count, which is what makes results bit-identical across
+//! `flat-vm` is the executor that fills them in; every combine in its
+//! kernel decomposition depends only on [`ExecConfig::grain`], never on
+//! the thread count, which is what makes results bit-identical across
 //! `FLAT_EXEC_THREADS` (see `docs/EXECUTION.md`).
 
 use crate::obs::KernelTelem;
@@ -48,8 +48,9 @@ pub struct ExecConfig {
     /// Thread count; `None` uses the process default, which honours
     /// `FLAT_EXEC_THREADS`.
     pub threads: Option<usize>,
-    /// Elements per parallel task. Fixes the kernel decomposition
-    /// independently of the thread count (see the module docs).
+    /// Elements per parallel task. Fixes every combine of the kernel
+    /// decomposition independently of the thread count; heavy segmaps,
+    /// which have no combine, may be cut finer (see the module docs).
     pub grain: usize,
     /// Collect pool scheduler counters (steals, parks, busy time) and
     /// per-kernel telemetry. Off by default; purely observational — the
@@ -82,7 +83,8 @@ pub struct ExecLaunch {
     pub level: Level,
     /// Total points of the iteration space.
     pub space: f64,
-    /// Parallel tasks dispatched to the pool.
+    /// Parallel tasks dispatched to the pool: the chunks or blocks the
+    /// kernel was cut into.
     pub tasks: u64,
     /// Measured wall time of the kernel, nanoseconds.
     pub nanos: f64,

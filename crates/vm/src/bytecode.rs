@@ -190,6 +190,10 @@ pub struct CompiledSeg {
     /// Launch name: the first value the segop binds.
     pub name: String,
     pub prov: Prov,
+    /// A `segmap` whose body reaches a loop, SOAC or segop (through
+    /// `if` branches): its points are heavy enough that a host-level
+    /// launch splits across the threads, not only by the grain.
+    pub heavy: bool,
 }
 
 /// Which SOAC a [`CompiledSoac`] drives.
@@ -364,7 +368,8 @@ impl fmt::Display for CompiledProgram {
             }
         }
         for (i, sg) in self.segs.iter().enumerate() {
-            writeln!(f, "g{i}: {} level={}", sg.kind.name(), sg.level)?;
+            let heavy = if sg.heavy { " heavy" } else { "" };
+            writeln!(f, "g{i}: {} level={}{heavy}", sg.kind.name(), sg.level)?;
             for (k, dim) in sg.ctx.iter().enumerate() {
                 let bs: Vec<String> =
                     dim.binds.iter().map(|b| format!("{} <- a{}[.]", b.dst, b.arr)).collect();

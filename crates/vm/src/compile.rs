@@ -72,6 +72,16 @@ impl Compiler {
         self.funcs[f as usize].push(ins);
     }
 
+    /// Whether running `f` can reach a loop, SOAC or segop, looking
+    /// through `if` branches.
+    fn reaches_work(&self, f: FuncId) -> bool {
+        self.funcs[f as usize].iter().any(|ins| match ins {
+            Instr::Loop { .. } | Instr::Soac(_) | Instr::Seg(_) => true,
+            Instr::If { tf, ff, .. } => self.reaches_work(*tf) || self.reaches_work(*ff),
+            _ => false,
+        })
+    }
+
     // -- register allocation (never reused) ---------------------------
 
     fn int_loc(&mut self, st: ScalarType) -> Loc {
@@ -686,8 +696,13 @@ impl Compiler {
             .first()
             .map(|p| p.name.to_string())
             .unwrap_or_else(|| kind.name().to_string());
+        let heavy = match &kind {
+            CSegKind::Map { body, .. } => self.reaches_work(*body),
+            _ => false,
+        };
         let id = self.segs.len() as u32;
         self.segs.push(CompiledSeg {
+            heavy,
             kind,
             level: op.level,
             ctx,

@@ -13,12 +13,14 @@
 //!   type dispatch. `iota`/`replicate`/`rearrange`/indexing are index
 //!   arithmetic over raw buffers.
 //! * **Execution** ([`run_program`], [`run_compiled`], [`measure`])
-//!   decomposes every kernel by the grain size only — grain-size
-//!   chunking for `segmap`, block partials combined left-to-right for
-//!   `segred`, the three-pass `segscan` — so results are bitwise
-//!   identical at every thread count. Threshold guards are dispatched
-//!   live against the actual degree of parallelism, and the taken path
-//!   is recorded with the same `path_signature` the simulator emits.
+//!   combines by the grain size only — block partials combined
+//!   left-to-right for `segred`, the three-pass `segscan` — so results
+//!   are bitwise identical at every thread count; a heavy host-level
+//!   `segmap`, which has no combine, is also split across the threads,
+//!   and segops nested in a kernel task run inside it. Threshold guards
+//!   are dispatched live against the actual degree of parallelism, and
+//!   the taken path is recorded with the same `path_signature` the
+//!   simulator emits.
 //!   The reference interpreter ([`flat_ir::interp`]) is the semantic
 //!   oracle.
 //! * **Observability**: [`disasm`] renders the bytecode for golden

@@ -3,29 +3,38 @@
 //!
 //! ## Determinism
 //!
-//! Every kernel is decomposed into tasks by the configured *grain size*
-//! only — never by the thread count — and task results are combined in
-//! task order on the calling thread. Two runs with different
-//! `FLAT_EXEC_THREADS` therefore produce bit-identical values:
+//! Every *combine* follows the configured grain size only, never the
+//! thread count, and task results are combined in task order on the
+//! calling thread. Two runs with different `FLAT_EXEC_THREADS`
+//! therefore produce bit-identical values:
 //!
-//! * `segmap`: the flattened space is cut into grain-sized chunks; each
-//!   chunk writes a private buffer; chunks concatenate in order.
-//! * `segred`: each (segment, block) task folds its block left-to-right
-//!   from the neutral element; block partials combine left-to-right per
-//!   segment. With one block per segment this is exactly the
-//!   interpreter's fold (bitwise, even for floats); with several blocks
-//!   it is the same reassociation for every thread count.
-//! * `segscan`: two passes — parallel per-block local scans, a
-//!   sequential prefix over block totals, then a parallel fixup
-//!   `op(prefix, elem)` for every block after the first (the first
-//!   block's pass-1 values are already final, so a single-block segment
-//!   is again bitwise equal to the interpreter).
+//! * `segmap` has no combine step: chunks write private buffers that
+//!   concatenate in index order, so its chunking may follow the thread
+//!   count. A host-level segmap is cut into grain-sized chunks, or, if
+//!   it is *heavy* (its body reaches a loop, SOAC or segop; see
+//!   [`Vm::map_chunk`]), into at least `4 × threads` chunks.
+//! * `segred`: each (segment, block) task folds its grain-sized block
+//!   left-to-right from the neutral element; block partials combine
+//!   left-to-right per segment. With one block per segment this is
+//!   exactly the interpreter's fold (bitwise, even for floats); with
+//!   several blocks it is the same reassociation for every thread count.
+//! * `segscan`: per-block local scans over grain-sized blocks, a
+//!   sequential prefix over block totals, then a fixup `op(prefix,
+//!   elem)` for every block after the first (the first block's local
+//!   scan is already final, so a single-block segment is again bitwise
+//!   equal to the interpreter, and skips the other passes).
+//! * Nested segops run inline: a segop reached from inside a kernel
+//!   task runs the same blocks, in task order, on that task's frame,
+//!   and never touches the pool (see [`Vm::run_tasks`]). A level-0
+//!   segop is part of its level-1 task, as a GPU workgroup's threads
+//!   are.
 //!
-//! A kernel task's "frame" is a clone of three flat register banks, the
-//! body is a `match` over monomorphic opcodes, and the sequential
-//! combine passes of `segred`/`segscan` run directly on the host frame
-//! (safe because registers are never reused, so everything they clobber
-//! is dead).
+//! A host-level kernel task's "frame" is a clone of three flat register
+//! banks, the body is a `match` over monomorphic opcodes, and the
+//! sequential combine passes of `segred`/`segscan` run directly on the
+//! host frame (safe because registers are never reused, so everything
+//! they clobber is dead) — the same argument that lets nested segops
+//! run every block on one frame.
 
 use crate::bytecode::*;
 use flat_exec::{ExecConfig, ExecError, ExecLaunch, ExecReport, KernelTelem};
@@ -43,6 +52,10 @@ type Result<T> = std::result::Result<T, ExecError>;
 fn err<T>(msg: impl Into<String>) -> Result<T> {
     Err(ExecError(msg.into()))
 }
+
+/// A heavy host-level segmap is cut into at least this many chunks per
+/// pool thread, so uneven rows still balance (see [`Vm::map_chunk`]).
+const HEAVY_CHUNKS_PER_THREAD: usize = 4;
 
 /// Compile and execute a program on concrete values.
 pub fn run_program(prog: &Program, args: &[Value], cfg: &ExecConfig) -> Result<ExecReport> {
@@ -792,6 +805,11 @@ impl Vm<'_> {
             CSegKind::Red { .. } => widths[..widths.len() - 1].to_vec(),
             _ => widths.clone(),
         };
+        // Elements per task: the map chunk, or the red/scan block.
+        let chunk = match sg.kind {
+            CSegKind::Map { .. } => self.map_chunk(sg, total.max(0) as usize, fr.in_kernel),
+            _ => self.grain,
+        };
 
         let kind_name = sg.kind.name();
         let record = !fr.in_kernel;
@@ -804,14 +822,16 @@ impl Vm<'_> {
         };
         let telem_on = record && self.telem;
         let tag = if telem_on { workpool::fresh_tag() } else { 0 };
-        self.cur_tag.store(tag, Ordering::Relaxed);
+        if record {
+            self.cur_tag.store(tag, Ordering::Relaxed);
+        }
         let pool_before = telem_on.then(|| self.pool.telemetry());
         let pool_start_ns = if telem_on { self.pool.now_ns() } else { 0 };
         let started = Instant::now();
 
         let (out, tasks) = match &sg.kind {
             CSegKind::Map { body, outs } => {
-                self.seg_map(fr, sg, *body, outs, &widths, total)?
+                self.seg_map(fr, sg, *body, outs, &widths, total, chunk)?
             }
             CSegKind::Red { fold, combine, nes, accs, rhs } => self.seg_red(
                 fr, sg, *fold, *combine, nes, accs, rhs, &widths, segments, inner_w,
@@ -830,7 +850,7 @@ impl Vm<'_> {
                     total,
                     segments,
                     inner_w,
-                    self.grain,
+                    chunk,
                 ),
             });
             fr.launches.push(ExecLaunch {
@@ -868,6 +888,62 @@ impl Vm<'_> {
         Ok(())
     }
 
+    /// Points per task of a segmap over `total` points. Inside a kernel
+    /// task it is all of them: one range, run in place. From the host
+    /// it is the grain, or less for a heavy segmap, which is cut into
+    /// at least [`HEAVY_CHUNKS_PER_THREAD`] chunks per pool thread (at
+    /// most one per point), so a few hundred heavy rows still spread
+    /// over every thread. A segmap has no combine step, so its chunking
+    /// cannot change a result bit.
+    fn map_chunk(&self, sg: &CompiledSeg, total: usize, in_kernel: bool) -> usize {
+        if in_kernel {
+            return total.max(1);
+        }
+        let mut chunks = total.div_ceil(self.grain);
+        if sg.heavy {
+            chunks = chunks.max(total.min(HEAVY_CHUNKS_PER_THREAD * self.pool.threads()));
+        }
+        total.div_ceil(chunks.max(1)).max(1)
+    }
+
+    /// Run `n` kernel tasks and return their results in task order, each
+    /// task's threshold records appended to `fr.path` in that order.
+    ///
+    /// From the host, the tasks run on the pool, each on a private clone
+    /// of `fr`. Inside a kernel task they run in order on `fr` itself and
+    /// never touch the pool: a nested segop is part of its enclosing
+    /// task, as level-0 threads are part of their workgroup. One frame
+    /// serves every task because registers are never reused: a task
+    /// writes each register it reads first (segment and element binds,
+    /// accumulators, body temporaries), so what an earlier task left
+    /// behind is dead.
+    fn run_tasks<T: Send>(
+        &self,
+        fr: &mut VmFrame,
+        n: usize,
+        task: &(dyn Fn(&mut VmFrame, usize) -> Result<T> + Sync),
+    ) -> Result<Vec<T>> {
+        if fr.in_kernel {
+            return (0..n).map(|t| task(fr, t)).collect();
+        }
+        let slots: Vec<TaskSlot<T>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let host: &VmFrame = fr;
+        self.pool
+            .run_tagged(n, self.cur_tag.load(Ordering::Relaxed), &|t| {
+                let mut sub = self.task_frame(host);
+                let r = task(&mut sub, t);
+                *slots[t].lock().unwrap() = Some(r.map(|v| (v, sub.path)));
+            });
+        let mut out = Vec::with_capacity(n);
+        for slot in slots {
+            let (v, path) = take_slot(slot)?;
+            fr.path.extend(path);
+            out.push(v);
+        }
+        Ok(out)
+    }
+
+    #[allow(clippy::too_many_arguments)]
     fn seg_map(
         &self,
         fr: &mut VmFrame,
@@ -876,30 +952,18 @@ impl Vm<'_> {
         outs: &[Loc],
         widths: &[i64],
         total: i64,
+        chunk: usize,
     ) -> Result<(Option<Vec<VAcc>>, usize)> {
         if total <= 0 {
             return Ok((None, 0));
         }
         let total = total as usize;
-        let grain = self.grain;
-        let n_chunks = total.div_ceil(grain);
-        let slots: Vec<TaskSlot<Vec<VAcc>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
-        let host: &VmFrame = fr;
-        let tag = self.cur_tag.load(Ordering::Relaxed);
-        self.pool.run_tagged(n_chunks, tag, &|c| {
-            let lo = c * grain;
-            let hi = ((c + 1) * grain).min(total);
-            let mut sub = self.task_frame(host);
-            let r = self.map_range(&mut sub, sg, body, outs, widths, lo, hi);
-            *slots[c].lock().unwrap() = Some(r.map(|accs| (accs, sub.path)));
-        });
-        let mut out: Option<Vec<VAcc>> = None;
-        for slot in slots {
-            let (accs, path) = take_slot(slot)?;
-            fr.path.extend(path);
-            merge_vaccs(&mut out, accs)?;
-        }
-        Ok((out, n_chunks))
+        let n_chunks = total.div_ceil(chunk);
+        let chunks = self.run_tasks(fr, n_chunks, &|sub, c| {
+            let (lo, hi) = (c * chunk, ((c + 1) * chunk).min(total));
+            self.map_range(sub, sg, body, outs, widths, lo, hi)
+        })?;
+        Ok((concat_vaccs(chunks)?, n_chunks))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -973,36 +1037,23 @@ impl Vm<'_> {
         let grain = self.grain as i64;
         let blocks = (((inner_w + grain - 1) / grain).max(1)) as usize;
         let tasks = segments * blocks;
-        let slots: Vec<TaskSlot<Vec<TVal>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
-        let host: &VmFrame = fr;
-        let tag = self.cur_tag.load(Ordering::Relaxed);
-        self.pool.run_tagged(tasks, tag, &|t| {
+        let partials = self.run_tasks(fr, tasks, &|sub, t| {
             let seg = (t / blocks) as i64;
             let b = (t % blocks) as i64;
-            let mut sub = self.task_frame(host);
-            let r = (|| {
-                self.bind_segment(&mut sub, sg, widths, seg)?;
-                // Neutral elements read after the segment context is
-                // bound (they may reference it).
-                self.copy_locs(&mut sub, nes, accs)?;
-                let (jlo, jhi) = (b * grain, (b * grain + grain).min(inner_w));
-                if jlo < jhi {
-                    let plan = self.inner_plan(&sub, sg, inner_w)?;
-                    for j in jlo..jhi {
-                        self.bind_dim(&mut sub, &plan, j)?;
-                        self.run_func(&mut sub, fold)?;
-                    }
+            self.bind_segment(sub, sg, widths, seg)?;
+            // Neutral elements read after the segment context is bound
+            // (they may reference it).
+            self.copy_locs(sub, nes, accs)?;
+            let (jlo, jhi) = (b * grain, (b * grain + grain).min(inner_w));
+            if jlo < jhi {
+                let plan = self.inner_plan(sub, sg, inner_w)?;
+                for j in jlo..jhi {
+                    self.bind_dim(sub, &plan, j)?;
+                    self.run_func(sub, fold)?;
                 }
-                self.read_tvals(&sub, accs)
-            })();
-            *slots[t].lock().unwrap() = Some(r.map(|acc| (acc, sub.path)));
-        });
-        let mut partials: Vec<Vec<TVal>> = Vec::with_capacity(tasks);
-        for slot in slots {
-            let (acc, path) = take_slot(slot)?;
-            fr.path.extend(path);
-            partials.push(acc);
-        }
+            }
+            self.read_tvals(sub, accs)
+        })?;
         // Combine block partials left-to-right within each segment, in
         // the segment's context. Runs on the host frame in kernel mode:
         // every register it writes is dead afterwards (no reuse), and
@@ -1059,104 +1110,76 @@ impl Vm<'_> {
 
         // Pass 1: per-block local scans, recording the scanned elements
         // and the running total.
-        type Scanned = (Vec<VAcc>, Vec<TVal>);
-        let slots: Vec<TaskSlot<Scanned>> = (0..tasks).map(|_| Mutex::new(None)).collect();
-        let host: &VmFrame = fr;
-        let tag = self.cur_tag.load(Ordering::Relaxed);
-        self.pool.run_tagged(tasks, tag, &|t| {
+        let pass1: Vec<(Vec<VAcc>, Vec<TVal>)> = self.run_tasks(fr, tasks, &|sub, t| {
             let seg = (t / blocks) as i64;
             let b = (t % blocks) as i64;
-            let mut sub = self.task_frame(host);
-            let r = (|| {
-                self.bind_segment(&mut sub, sg, widths, seg)?;
-                self.copy_locs(&mut sub, nes, accs)?;
-                let mut local: Option<Vec<VAcc>> = None;
-                let (jlo, jhi) = (b * grain, (b * grain + grain).min(inner_w));
-                if jlo < jhi {
-                    let plan = self.inner_plan(&sub, sg, inner_w)?;
-                    for j in jlo..jhi {
-                        self.bind_dim(&mut sub, &plan, j)?;
-                        self.run_func(&mut sub, fold)?;
-                        self.accumulate_locs(&sub, &mut local, accs)?;
-                    }
+            self.bind_segment(sub, sg, widths, seg)?;
+            self.copy_locs(sub, nes, accs)?;
+            let mut local: Option<Vec<VAcc>> = None;
+            let (jlo, jhi) = (b * grain, (b * grain + grain).min(inner_w));
+            if jlo < jhi {
+                let plan = self.inner_plan(sub, sg, inner_w)?;
+                for j in jlo..jhi {
+                    self.bind_dim(sub, &plan, j)?;
+                    self.run_func(sub, fold)?;
+                    self.accumulate_locs(sub, &mut local, accs)?;
                 }
-                let local = local.ok_or_else(|| ExecError("empty segscan block".into()))?;
-                let acc = self.read_tvals(&sub, accs)?;
-                Ok((local, acc))
-            })();
-            *slots[t].lock().unwrap() = Some(r.map(|s| (s, sub.path)));
-        });
-        let mut pass1: Vec<Scanned> = Vec::with_capacity(tasks);
-        for slot in slots {
-            let (s, path) = take_slot(slot)?;
-            fr.path.extend(path);
-            pass1.push(s);
+            }
+            let local = local.ok_or_else(|| ExecError("empty segscan block".into()))?;
+            Ok((local, self.read_tvals(sub, accs)?))
+        })?;
+        // A single block per segment is already final: there is no
+        // prefix to fix up.
+        if blocks == 1 {
+            let locals = pass1.into_iter().map(|(local, _)| local).collect();
+            return Ok((concat_vaccs(locals)?, tasks));
         }
 
         // Pass 2: sequential prefix over block totals per segment, on
         // the host frame in kernel mode (registers dead afterwards).
         let mut prefixes: Vec<Option<Vec<TVal>>> = vec![None; tasks];
-        if blocks > 1 {
-            let saved = fr.in_kernel;
-            fr.in_kernel = true;
-            let res: Result<()> = (|| {
-                for seg in 0..segments {
-                    self.bind_segment(fr, sg, widths, seg as i64)?;
-                    let mut running: Vec<TVal> = pass1[seg * blocks].1.clone();
-                    for b in 1..blocks {
-                        prefixes[seg * blocks + b] = Some(running.clone());
-                        if b + 1 < blocks {
-                            self.write_tvals(fr, accs, &running)?;
-                            self.write_tvals(fr, rhs, &pass1[seg * blocks + b].1)?;
-                            self.run_func(fr, combine)?;
-                            running = self.read_tvals(fr, accs)?;
-                        }
+        let saved = fr.in_kernel;
+        fr.in_kernel = true;
+        let res: Result<()> = (|| {
+            for seg in 0..segments {
+                self.bind_segment(fr, sg, widths, seg as i64)?;
+                let mut running: Vec<TVal> = pass1[seg * blocks].1.clone();
+                for b in 1..blocks {
+                    prefixes[seg * blocks + b] = Some(running.clone());
+                    if b + 1 < blocks {
+                        self.write_tvals(fr, accs, &running)?;
+                        self.write_tvals(fr, rhs, &pass1[seg * blocks + b].1)?;
+                        self.run_func(fr, combine)?;
+                        running = self.read_tvals(fr, accs)?;
                     }
                 }
-                Ok(())
-            })();
-            fr.in_kernel = saved;
-            res?;
-        }
+            }
+            Ok(())
+        })();
+        fr.in_kernel = saved;
+        res?;
 
-        // Pass 3: parallel fixup — combine the prefix into every element
-        // of the later blocks.
-        let fixed: Vec<TaskSlot<Vec<VAcc>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
-        let pass1_ref = &pass1;
-        let prefixes_ref = &prefixes;
-        let host: &VmFrame = fr;
-        self.pool.run_tagged(tasks, tag, &|t| {
-            let seg = (t / blocks) as i64;
-            let mut sub = self.task_frame(host);
-            let r = (|| {
-                let (locals, _) = &pass1_ref[t];
-                match &prefixes_ref[t] {
-                    None => Ok(locals.iter().map(VAcc::clone).collect()),
-                    Some(prefix) => {
-                        self.bind_segment(&mut sub, sg, widths, seg)?;
-                        let count = locals.first().map(|a| a.count).unwrap_or(0);
-                        let mut out: Option<Vec<VAcc>> = None;
-                        for i in 0..count {
-                            self.write_tvals(&mut sub, accs, prefix)?;
-                            for (local, &rl) in locals.iter().zip(rhs) {
-                                self.write_value(&mut sub, rl, local.elem_at(i))?;
-                            }
-                            self.run_func(&mut sub, combine)?;
-                            self.accumulate_locs(&sub, &mut out, accs)?;
-                        }
-                        out.ok_or_else(|| ExecError("empty segscan fixup".into()))
-                    }
+        // Pass 3: fixup — combine the prefix into every element of the
+        // later blocks.
+        let fixed = self.run_tasks(fr, tasks, &|sub, t| {
+            let (locals, _) = &pass1[t];
+            let Some(prefix) = &prefixes[t] else {
+                return Ok(locals.to_vec());
+            };
+            self.bind_segment(sub, sg, widths, (t / blocks) as i64)?;
+            let count = locals.first().map(|a| a.count).unwrap_or(0);
+            let mut out: Option<Vec<VAcc>> = None;
+            for i in 0..count {
+                self.write_tvals(sub, accs, prefix)?;
+                for (local, &rl) in locals.iter().zip(rhs) {
+                    self.write_value(sub, rl, local.elem_at(i))?;
                 }
-            })();
-            *fixed[t].lock().unwrap() = Some(r.map(|accs| (accs, sub.path)));
-        });
-        let mut out: Option<Vec<VAcc>> = None;
-        for slot in fixed {
-            let (accs, path) = take_slot(slot)?;
-            fr.path.extend(path);
-            merge_vaccs(&mut out, accs)?;
-        }
-        Ok((out, tasks))
+                self.run_func(sub, combine)?;
+                self.accumulate_locs(sub, &mut out, accs)?;
+            }
+            out.ok_or_else(|| ExecError("empty segscan fixup".into()))
+        })?;
+        Ok((concat_vaccs(fixed)?, tasks))
     }
 
     /// Append one point's results (read straight from their registers)
@@ -1314,29 +1337,41 @@ fn accumulate_tvals(out: &mut Option<Vec<VAcc>>, vals: &[TVal]) -> Result<()> {
     }
 }
 
-fn merge_vaccs(out: &mut Option<Vec<VAcc>>, accs: Vec<VAcc>) -> Result<()> {
-    match out {
-        None => {
-            *out = Some(accs);
-            Ok(())
+/// Concatenate per-task results in task order, each result into one
+/// buffer allocated at its final size (a single part is moved, not
+/// copied), dropping every part once it is copied.
+fn concat_vaccs(parts: Vec<Vec<VAcc>>) -> Result<Option<Vec<VAcc>>> {
+    if parts.len() <= 1 {
+        return Ok(parts.into_iter().next());
+    }
+    let mut out: Vec<VAcc> = parts[0]
+        .iter()
+        .enumerate()
+        .map(|(i, a)| {
+            let len = parts.iter().map(|p| p.get(i).map_or(0, |x| x.data.len())).sum();
+            VAcc {
+                elem_shape: a.elem_shape.clone(),
+                data: Buffer::with_capacity(a.data.scalar_type(), len),
+                count: 0,
+            }
+        })
+        .collect();
+    for part in parts {
+        if part.len() != out.len() {
+            return err("result arity changed across chunks");
         }
-        Some(cur) => {
-            if cur.len() != accs.len() {
-                return err("result arity changed across chunks");
+        for (c, a) in out.iter_mut().zip(part) {
+            if a.elem_shape != c.elem_shape {
+                return err(format!(
+                    "irregular parallelism: element shape {:?} vs {:?}",
+                    a.elem_shape, c.elem_shape
+                ));
             }
-            for (c, a) in cur.iter_mut().zip(accs) {
-                if a.elem_shape != c.elem_shape {
-                    return err(format!(
-                        "irregular parallelism: element shape {:?} vs {:?}",
-                        a.elem_shape, c.elem_shape
-                    ));
-                }
-                c.data.extend_range(&a.data, 0, a.data.len());
-                c.count += a.count;
-            }
-            Ok(())
+            c.data.extend_range(&a.data, 0, a.data.len());
+            c.count += a.count;
         }
     }
+    Ok(Some(out))
 }
 
 #[cfg(test)]

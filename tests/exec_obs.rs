@@ -6,9 +6,9 @@
 //! The counters are designed so that every task acquisition is counted
 //! exactly once — own-deque pops and inline jobs as local pops, stolen
 //! tasks as steals — which yields the cross-slot invariant
-//! `local_pops + steals == tasks` at every thread count. Busy time is
-//! accounted non-reentrantly per thread (nested counted frames are
-//! covered by their encloser), so each slot's busy time is an
+//! `local_pops + steals == tasks` at every thread count. Counted frames
+//! never nest on a thread (a run nested in a task, inline jobs
+//! included, is part of that task), so each slot's busy time is an
 //! interval-disjoint subset of the run's wall time.
 //!
 //! Pools are cached per size and shared across a process, so tests
@@ -17,6 +17,7 @@
 use incremental_flattening::prelude::*;
 
 use exec::ExecConfig;
+use ir::interp::Thresholds;
 use ir::value::Value;
 use std::sync::Mutex;
 
@@ -113,6 +114,58 @@ fn per_kernel_telemetry_mirrors_the_run_totals() {
     }
     // Every counted task happened inside some kernel dispatch.
     assert_eq!(kernel_tasks, run_total.tasks);
+}
+
+/// A heavy segmap is cut across the threads, not by the grain alone.
+/// Sumrows' intra version is one level-1 segmap whose rows each run a
+/// level-0 segred; at the default grain its 64 rows are one grain
+/// block, but it runs as `max(1, min(64, 4 × threads))` chunks. The
+/// launch record, the task-size histogram and the pool counters all
+/// count those chunks, and the nested segred never reaches the pool.
+#[test]
+fn heavy_segmap_telemetry_counts_the_chunks_that_ran() {
+    let _guard = POOL_LOCK.lock().unwrap();
+    let fl = flatten(SUMROWS, "sumrows");
+    let args = sumrows_args();
+    let mut intra = Thresholds::new();
+    for info in fl.thresholds.iter() {
+        let outer = info.name.contains("outer");
+        intra.set(info.id, if outer { i64::MAX } else { 0 });
+    }
+    for threads in THREAD_COUNTS {
+        let c = ExecConfig {
+            thresholds: intra.clone(),
+            grain: exec::DEFAULT_GRAIN,
+            ..cfg(threads)
+        };
+        let rep = vm::run_program(&fl.prog, &args, &c).unwrap();
+        let [l] = &rep.launches[..] else {
+            panic!(
+                "{threads} threads: one host kernel, got {}",
+                rep.launches.len()
+            );
+        };
+        assert_eq!(l.kind, "segmap");
+        let chunks = (4 * threads as u64).min(64);
+        assert_eq!(l.tasks, chunks, "{threads} threads: launch record");
+
+        let telem = l
+            .telem
+            .as_ref()
+            .expect("telemetry on records per-kernel deltas");
+        let sizes = &telem.task_sizes;
+        assert_eq!(sizes.count, chunks, "{threads} threads: histogram entries");
+        assert_eq!(
+            sizes.sum, 64,
+            "{threads} threads: histogram covers the space"
+        );
+        assert_eq!(sizes.max, 64 / chunks, "{threads} threads: chunk size");
+
+        let t = telem.pool.total();
+        assert_eq!(t.tasks, chunks, "{threads} threads: pool tasks");
+        assert_eq!(t.local_pops + t.steals, t.tasks);
+        assert_eq!(rep.pool.as_ref().unwrap().total().tasks, t.tasks);
+    }
 }
 
 #[test]

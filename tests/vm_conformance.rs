@@ -315,6 +315,109 @@ def main [n][m] (xss: [n][m]i64) (ys: [m]i64) (c: i64) =
     );
 }
 
+/// Thresholds that force the intra-group version: refuse every outer
+/// comparison, take every intra one.
+fn force_intra(fl: &compiler::Flattened) -> Thresholds {
+    let mut t = Thresholds::new();
+    for info in fl.thresholds.iter() {
+        let outer = info.name.contains("outer");
+        t.set(info.id, if outer { i64::MAX } else { 0 });
+    }
+    t
+}
+
+/// Run `fl` at 1/2/4/8 threads with worker spans on and check that the
+/// run is one host kernel whose pool tasks number exactly `tasks[k]` at
+/// `[1, 2, 4, 8][k]` threads, and that values and the live path are
+/// bitwise equal across thread counts and to the interpreter (one block
+/// per segment at the default grain). Spans are filtered to the run's
+/// own kernels, so concurrent tests on the same pool do not count.
+fn check_host_tasks(
+    name: &str,
+    fl: &compiler::Flattened,
+    t: &Thresholds,
+    args: &[Value],
+    tasks: [u64; 4],
+) {
+    let reference = ir::interp::run_program(&fl.prog, args, t)
+        .unwrap_or_else(|e| panic!("{name}: interpreter failed: {e}"));
+    let mut first: Option<ExecReport> = None;
+    for (threads, want) in [1, 2, 4, 8].into_iter().zip(tasks) {
+        let c = ExecConfig {
+            thresholds: t.clone(),
+            worker_trace: true,
+            ..cfg(threads, exec::DEFAULT_GRAIN)
+        };
+        let rep = vm::run_program(&fl.prog, args, &c).unwrap();
+        assert_eq!(
+            rep.values, reference,
+            "{name}: {threads} threads vs interpreter"
+        );
+        let [l] = &rep.launches[..] else {
+            panic!("{name}: one host kernel, got {}", rep.launches.len());
+        };
+        assert_eq!(l.tasks, want, "{name}: {threads} threads: launch tasks");
+        assert_eq!(
+            rep.spans.len() as u64,
+            want,
+            "{name}: {threads} threads: pool tasks"
+        );
+        match &first {
+            None => first = Some(rep),
+            Some(f) => assert_eq!(rep.signature(), f.signature(), "{name}: path"),
+        }
+    }
+}
+
+/// The intra-group version is one level-1 segmap over the outer rows
+/// whose body runs level-0 segops. It splits across the threads —
+/// `max(⌈rows/grain⌉, min(rows, 4 × threads))` chunks of equal size,
+/// the last one shorter — and its level-0 segops run inside their
+/// chunk's task, so the pool sees exactly the chunks. A segmap whose
+/// body is scalar code keeps the grain decomposition: 200 points are
+/// one task at every thread count.
+#[test]
+fn heavy_segmaps_split_across_threads_and_nested_segops_stay_in_their_task() {
+    let src = std::fs::read_to_string("examples/matmul.fut").unwrap();
+    let fl = compiler::flatten_incremental(&lang::compile(&src, "matmul").unwrap()).unwrap();
+    let args = vec![
+        Value::i64_(16),
+        Value::i64_(10),
+        Value::i64_(7),
+        f32_matrix(16, 10, 1),
+        f32_matrix(10, 7, 2),
+    ];
+    check_host_tasks("matmul", &fl, &force_intra(&fl), &args, [4, 8, 16, 16]);
+
+    let src = std::fs::read_to_string("examples/locvolcalib.fut").unwrap();
+    let fl = compiler::flatten_incremental(&lang::compile(&src, "locvolcalib").unwrap()).unwrap();
+    let args = vec![
+        Value::i64_(12),
+        Value::i64_(4),
+        Value::i64_(8),
+        f32_cube(12, 4, 8, 11),
+        f32_cube(12, 8, 4, 12),
+        Value::i64_(2),
+    ];
+    // 12 rows at 2 threads: 8 chunks wanted, so chunks of 2 — 6 tasks.
+    check_host_tasks("locvolcalib", &fl, &force_intra(&fl), &args, [4, 6, 12, 12]);
+
+    let src = "def main [n] (xs: [n]i64) (c: i64) =\n  map (\\x -> x * c + 1) xs\n";
+    let fl = compiler::flatten_incremental(&lang::compile(src, "main").unwrap()).unwrap();
+    let args = vec![
+        Value::i64_(200),
+        Value::i64_vec((0..200).collect()),
+        Value::i64_(3),
+    ];
+    check_host_tasks(
+        "scalar segmap",
+        &fl,
+        &Thresholds::new(),
+        &args,
+        [1, 1, 1, 1],
+    );
+}
+
 /// Bytecode goldens: the lowering of a one-level `map` (a `segmap` with
 /// a monomorphic i64 body) and a `reduce` (a `segred` with fold and
 /// combine functions over accumulator registers) is pinned exactly —
